@@ -66,7 +66,8 @@ let run graph_text seed dot edges analysis timing trace_path out =
       let build_allocated = Gc.allocated_bytes () -. allocated_before in
       if timing then begin
         (* the CSR footprint is what a simulation keeps resident; the
-           allocation figure shows the streaming builders' small surplus *)
+           allocation figure is everything the build allocated, boxed RNG
+           draws included *)
         let words = Graph.n g + 1 + (2 * Graph.num_edges g) in
         Printf.printf "build: %.3fs, CSR %.1f MB, %.1f MB allocated on the way\n"
           build_seconds
@@ -128,8 +129,9 @@ let analysis_arg =
 let timing_arg =
   let doc =
     "Print generation wall-clock, the CSR memory footprint, and the bytes \
-     allocated while building (the streaming builders keep the latter close \
-     to the former)."
+     allocated while building.  The latter counts every allocation of the \
+     build, short-lived ones included, so it can be a large multiple of the \
+     CSR: the random families box each RNG draw."
   in
   Arg.(value & flag & info [ "timing" ] ~doc)
 

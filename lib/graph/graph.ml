@@ -92,33 +92,48 @@ let total_degree g = 2 * g.m
 
 let degrees g = Array.init g.n (fun u -> degree g u)
 
-(* Sort every CSR slice in place and reject duplicate edges.  Small slices
-   use insertion sort (no allocation — the common case for the sparse huge
-   graphs the streaming builder targets); long ones fall back to a scratch
-   merge sort. *)
+(* Bring every CSR slice into ascending order in place and reject duplicate
+   edges.  Each slice is first scanned once for strict increase: a strictly
+   increasing slice is already sorted and duplicate-free, so it is checked,
+   not sorted, and costs no allocation.  A lexicographically ordered edge
+   stream (every edge (u, v) with u < v, sorted by (u, v)) fills every slice
+   that way, because the counting-sort fill appends a vertex's lower
+   neighbours during earlier rows and its upper ones during its own row.
+   G(n,p)'s geometric-skip sweep, [complete], [hypercube] and [grid] emit
+   such streams.  Only a slice with a descent or a repeated neighbour — the
+   shuffled streams of the configuration model, G(n,m) and preferential
+   attachment, or the prepend-built edge lists of the [Gen_paper] families —
+   is sorted: insertion sort (no allocation) up to 32 entries, a scratch merge
+   sort beyond, then a duplicate scan. *)
 let sort_and_check_slices ~who ~n:nv offsets adj =
   for u = 0 to nv - 1 do
     let lo = offsets.(u) and hi = offsets.(u + 1) in
-    let len = hi - lo in
-    if len > 32 then begin
-      let slice = Array.sub adj lo len in
-      Array.sort Int.compare slice;
-      Array.blit slice 0 adj lo len
-    end
-    else
-      for i = lo + 1 to hi - 1 do
-        let x = adj.(i) in
-        let j = ref (i - 1) in
-        while !j >= lo && adj.(!j) > x do
-          adj.(!j + 1) <- adj.(!j);
-          decr j
+    let i = ref (lo + 1) in
+    while !i < hi && adj.(!i - 1) < adj.(!i) do
+      incr i
+    done;
+    if !i < hi then begin
+      let len = hi - lo in
+      if len > 32 then begin
+        let slice = Array.sub adj lo len in
+        Array.sort Int.compare slice;
+        Array.blit slice 0 adj lo len
+      end
+      else
+        for i = lo + 1 to hi - 1 do
+          let x = adj.(i) in
+          let j = ref (i - 1) in
+          while !j >= lo && adj.(!j) > x do
+            adj.(!j + 1) <- adj.(!j);
+            decr j
+          done;
+          adj.(!j + 1) <- x
         done;
-        adj.(!j + 1) <- x
-      done;
-    for i = lo + 1 to hi - 1 do
-      if adj.(i) = adj.(i - 1) then
-        invalid_arg (Printf.sprintf "%s: duplicate edge (%d,%d)" who u adj.(i))
-    done
+      for i = lo + 1 to hi - 1 do
+        if adj.(i) = adj.(i - 1) then
+          invalid_arg (Printf.sprintf "%s: duplicate edge (%d,%d)" who u adj.(i))
+      done
+    end
   done
 
 let of_edge_array ~n:nv edges =

@@ -49,7 +49,10 @@ module Builder : sig
 
   val finish : t -> graph
   (** Build the CSR graph and invalidate the builder (its edge buffers are
-      released).  @raise Invalid_argument on duplicate edges or a second
+      released).  Edges added in lexicographic order, each as [(u, v)] with
+      [u < v], leave every adjacency slice ascending, so ["graph.sort"] only
+      checks them and allocates nothing; any other order is sorted into the
+      same graph.  @raise Invalid_argument on duplicate edges or a second
       [finish]. *)
 end
 

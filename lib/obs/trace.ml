@@ -92,9 +92,12 @@ let push t kind name ~arg =
 
 let begin_span t ?(arg = no_arg) name =
   let i = push t Span name ~arg in
-  (* stash the absolute GC readings; end_span turns them into deltas *)
-  t.alloc_w.(i) <- Gc.minor_words ();
+  (* stash the absolute GC readings; end_span turns them into deltas.  The
+     minor-word reading comes last here and first in end_span, so the boxed
+     clock floats and quick_stat records of the tracer's own bookkeeping are
+     not charged to the span *)
   t.major_gcs.(i) <- (Gc.quick_stat ()).Gc.major_collections;
+  t.alloc_w.(i) <- Gc.minor_words ();
   if t.depth = Array.length t.stack then begin
     let bigger = Array.make (2 * t.depth) 0 in
     Array.blit t.stack 0 bigger 0 t.depth;
@@ -107,8 +110,8 @@ let end_span t =
   if t.depth = 0 then invalid_arg "Trace.end_span: no open span";
   t.depth <- t.depth - 1;
   let i = t.stack.(t.depth) in
-  t.dur.(i) <- Clock.now_us () -. t.epoch_us -. t.ts.(i);
   t.alloc_w.(i) <- Gc.minor_words () -. t.alloc_w.(i);
+  t.dur.(i) <- Clock.now_us () -. t.epoch_us -. t.ts.(i);
   t.major_gcs.(i) <-
     (Gc.quick_stat ()).Gc.major_collections - t.major_gcs.(i)
 

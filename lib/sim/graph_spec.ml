@@ -30,7 +30,7 @@ let families =
     "lollipop"; "random-regular"; "er"; "gnm"; "ba";
   ]
 
-let parse text =
+let parse_syntax text =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let family, args =
     match String.index_opt text ':' with
@@ -82,9 +82,6 @@ let parse text =
       | _ -> fail "er expects N,P, got %S" args)
   | other -> fail "unknown graph family %S (known: %s)" other (String.concat ", " families)
 
-let parse_exn text =
-  match parse text with Ok t -> t | Error m -> invalid_arg ("Graph_spec: " ^ m)
-
 let to_string = function
   | Complete n -> Printf.sprintf "complete:%d" n
   | Path n -> Printf.sprintf "path:%d" n
@@ -105,6 +102,40 @@ let to_string = function
   | Er (n, p) -> Printf.sprintf "er:%d,%g" n p
   | Gnm (n, m) -> Printf.sprintf "gnm:%d,%d" n m
   | Ba (n, m) -> Printf.sprintf "ba:%d,%d" n m
+
+(* Each generator's own preconditions, checked at parse time so that a bad
+   spec is a one-line error instead of an Invalid_argument from inside the
+   build. *)
+let validate spec =
+  let need ok what =
+    if ok then Ok spec else Error (Printf.sprintf "%s: %s" (to_string spec) what)
+  in
+  match spec with
+  | Complete n | Path n -> need (n >= 1) "need N >= 1"
+  | Cycle n -> need (n >= 3) "need N >= 3"
+  | Star l | Double_star l -> need (l >= 1) "need LEAVES >= 1"
+  | Tree l -> need (l >= 1) "need LEVELS >= 1"
+  | Heavy_tree l | Siamese l -> need (l >= 2) "need LEVELS >= 2"
+  | Csc k -> need (k >= 3) "need K >= 3"
+  | Grid (r, c) -> need (r >= 1 && c >= 1) "need ROWS, COLS >= 1"
+  | Torus (r, c) -> need (r >= 3 && c >= 3) "need ROWS, COLS >= 3"
+  | Hypercube d -> need (d >= 1 && d <= 24) "need 1 <= DIM <= 24"
+  | Necklace (c, s) -> need (c >= 3 && s >= 4) "need CLIQUES >= 3 and SIZE >= 4"
+  | Barbell (s, b) -> need (s >= 2 && b >= 0) "need SIZE >= 2 and BRIDGE >= 0"
+  | Lollipop (s, t) -> need (s >= 2 && t >= 1) "need SIZE >= 2 and TAIL >= 1"
+  | Random_regular (n, d) ->
+      if not (d > 0 && d < n) then need false "need 0 < D < N"
+      else if n * d mod 2 <> 0 then need false "N*D must be even"
+      else need (d > 1 || n = 2) "a 1-regular graph is connected only for N = 2"
+  | Er (n, p) -> need (n >= 1 && p >= 0.0 && p <= 1.0) "need N >= 1 and 0 <= P <= 1"
+  | Gnm (n, m) ->
+      need (n >= 1 && m >= 0 && m <= n * (n - 1) / 2) "need N >= 1 and 0 <= M <= N(N-1)/2"
+  | Ba (n, m) -> need (m >= 1 && n > m) "need 1 <= M < N"
+
+let parse text = Result.bind (parse_syntax text) validate
+
+let parse_exn text =
+  match parse text with Ok t -> t | Error m -> invalid_arg ("Graph_spec: " ^ m)
 
 let is_random = function
   | Random_regular _ | Er _ | Gnm _ | Ba _ -> true

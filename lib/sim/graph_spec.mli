@@ -20,7 +20,9 @@
 type t
 
 val parse : string -> (t, string) result
-(** Parse a spec; the error is a human-readable message. *)
+(** Parse a spec and check its parameters against the generator's
+    preconditions ([star:0], [cycle:1], [er:100,2.0], [random-regular:5,3]
+    are errors); the error is a one-line human-readable message. *)
 
 val parse_exn : string -> t
 (** @raise Invalid_argument on a malformed spec. *)

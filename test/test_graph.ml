@@ -168,6 +168,23 @@ let graph_equal g1 g2 =
   done;
   !same
 
+let build_with_builder ~n edges =
+  let b = Graph.Builder.create ~n () in
+  Array.iter (fun (u, v) -> Graph.Builder.add_edge b u v) edges;
+  Graph.Builder.finish b
+
+(* Vertex 0 is adjacent to everyone (degree 59 > 32, the merge-sort
+   threshold); vertices 1..59 also form a cycle, so every other slice is
+   short.  Returned in lexicographic order with u < v. *)
+let hub_and_cycle_edges n =
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if u = 0 || v = u + 1 || (u = 1 && v = n - 1) then edges := (u, v) :: !edges
+    done
+  done;
+  Array.of_list (List.rev !edges)
+
 let test_builder_matches_of_edges () =
   let edges = [ (3, 1); (0, 4); (1, 0); (2, 4); (0, 2) ] in
   let b = Graph.Builder.create ~n:5 () in
@@ -175,7 +192,30 @@ let test_builder_matches_of_edges () =
   Alcotest.(check int) "edge_count" 5 (Graph.Builder.edge_count b);
   Alcotest.(check int) "vertex_count" 5 (Graph.Builder.vertex_count b);
   Alcotest.(check bool) "builder = of_edges" true
-    (graph_equal (Graph.Builder.finish b) (Graph.of_edges ~n:5 edges))
+    (graph_equal (Graph.Builder.finish b) (Graph.of_edges ~n:5 edges));
+  (* the same edge set in lexicographic, reversed and shuffled order (the
+     shuffle also flips some endpoints) builds one canonical graph: ordered
+     slices take the check-only path, the others the insertion sort or, at
+     vertex 0, the merge sort *)
+  let n = 60 in
+  let lex = hub_and_cycle_edges n in
+  let rev = Array.of_list (List.rev (Array.to_list lex)) in
+  let shuffled = Array.copy lex in
+  let rng = Rng.of_int 7 in
+  Rng.shuffle rng shuffled;
+  let shuffled =
+    Array.map (fun (u, v) -> if Rng.bool rng then (v, u) else (u, v)) shuffled
+  in
+  let reference = Graph.of_edge_array ~n lex in
+  Graph.validate reference;
+  Alcotest.(check int) "hub degree" (n - 1) (Graph.degree reference 0);
+  List.iter
+    (fun (name, edges) ->
+      Alcotest.(check bool) (name ^ " builder") true
+        (graph_equal reference (build_with_builder ~n edges));
+      Alcotest.(check bool) (name ^ " of_edge_array") true
+        (graph_equal reference (Graph.of_edge_array ~n edges)))
+    [ ("lexicographic", lex); ("reversed", rev); ("shuffled", shuffled) ]
 
 let test_builder_grows_past_capacity () =
   (* capacity is only a hint: push far more edges than the initial buffers *)
@@ -211,6 +251,51 @@ let test_builder_rejects_duplicate_at_finish () =
     ignore (Graph.Builder.finish b);
     Alcotest.fail "duplicate edge accepted"
   with Invalid_argument _ -> ()
+
+(* A repeated edge at the hub of degree > 32: an ordered stream leaves the
+   two copies adjacent in an otherwise ascending slice, a shuffled one
+   scatters them.  Either way the hub slice is not strictly increasing, so it
+   falls back to the merge sort, whose duplicate scan must reject it. *)
+let test_rejects_duplicate_in_long_slice () =
+  let n = 60 in
+  let lex = hub_and_cycle_edges n in
+  let ordered = Array.append [| (0, 1) |] lex in
+  let shuffled = Array.copy ordered in
+  Rng.shuffle (Rng.of_int 11) shuffled;
+  List.iter
+    (fun (name, edges) ->
+      (try
+         ignore (Graph.of_edge_array ~n edges);
+         Alcotest.failf "%s duplicate accepted by of_edge_array" name
+       with Invalid_argument _ -> ());
+      try
+        ignore (build_with_builder ~n edges);
+        Alcotest.failf "%s duplicate accepted by the builder" name
+      with Invalid_argument _ -> ())
+    [ ("ordered", ordered); ("shuffled", shuffled) ]
+
+(* G(n,p)'s sweep emits a lexicographic stream, so the builder's slice pass
+   is a pure check: the graph.sort span allocates nothing at all, where a
+   sort of the degree-100 slices would copy each into a scratch array. *)
+let test_ordered_stream_sort_allocates_nothing () =
+  let tr = Rumor_obs.Trace.create () in
+  let g = Rumor_graph.Gen_random.erdos_renyi ~trace:tr (Rng.of_int 3) ~n:2000 ~p:0.05 in
+  Alcotest.(check bool) "slices longer than 32" true (Graph.max_degree g > 32);
+  let path = Filename.temp_file "graph_sort" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Rumor_obs.Trace.write_jsonl tr path;
+      match Rumor_obs.Trace.read_file path with
+      | Error m -> Alcotest.fail m
+      | Ok file -> (
+          match
+            List.filter
+              (fun (e : Rumor_obs.Trace.event) -> e.name = "graph.sort")
+              file.Rumor_obs.Trace.file_events
+          with
+          | [ e ] -> Alcotest.(check (float 0.0)) "graph.sort minor words" 0.0 e.alloc_w
+          | l -> Alcotest.failf "%d graph.sort spans" (List.length l)))
 
 let test_builder_single_use () =
   let b = Graph.Builder.create ~n:2 () in
@@ -256,6 +341,10 @@ let suite =
       test_builder_rejects_bad_edges;
     Alcotest.test_case "builder rejects duplicate at finish" `Quick
       test_builder_rejects_duplicate_at_finish;
+    Alcotest.test_case "rejects duplicates in long slices" `Quick
+      test_rejects_duplicate_in_long_slice;
+    Alcotest.test_case "ordered stream: graph.sort allocates nothing" `Quick
+      test_ordered_stream_sort_allocates_nothing;
     Alcotest.test_case "builder is single-use" `Quick test_builder_single_use;
     Alcotest.test_case "builder edgeless graph" `Quick test_builder_edgeless;
     QCheck_alcotest.to_alcotest prop_random_graph_validates;

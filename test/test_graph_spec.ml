@@ -71,7 +71,44 @@ let test_parse_errors () =
       match Graph_spec.parse text with
       | Ok _ -> Alcotest.failf "%S accepted" text
       | Error m -> Alcotest.(check bool) "message non-empty" true (String.length m > 0))
-    [ "unknown:3"; "star"; "star:x"; "grid:3"; "grid:3,4"; "er:10"; "random-regular:10" ]
+    [
+      "unknown:3"; "star"; "star:x"; "grid:3"; "grid:3,4"; "er:10"; "random-regular:10";
+      (* well-formed but outside the generator's preconditions *)
+      "star:0"; "cycle:1"; "er:100,2.0"; "er:0,0.5"; "er:10,nan"; "random-regular:5,3";
+      "random-regular:10,10"; "random-regular:4,1"; "grid:0x3"; "torus:2x5";
+      "gnm:5,100"; "hypercube:25"; "heavy-tree:1"; "necklace:3x3"; "ba:3,3";
+    ]
+
+let test_valid_edge_specs_parse () =
+  (* boundary values of each precondition, and every perfbench spec *)
+  List.iter
+    (fun text ->
+      match Graph_spec.parse text with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "%S rejected: %s" text m)
+    [
+      "complete:1"; "path:1"; "cycle:3"; "star:1"; "tree:1"; "siamese:2"; "csc:3";
+      "grid:1x1"; "torus:3x3"; "hypercube:24"; "barbell:2,0"; "lollipop:2,1";
+      "random-regular:2,1"; "random-regular:5,4"; "er:1,0.0"; "er:5,1.0"; "gnm:5,10";
+      "gnm:5,0"; "ba:3,2"; "er:200000,0.0004"; "random-regular:100000,16"; "star:400";
+      "double-star:400"; "heavy-tree:9"; "siamese:8"; "csc:6";
+    ]
+
+let run_exe = Filename.concat (Filename.concat ".." "bin") "rumor_run.exe"
+
+let test_cli_bad_spec_exit_code () =
+  if not (Sys.file_exists run_exe) then
+    (* dune declares the exe as a test dep; guard anyway for odd setups *)
+    Alcotest.skip ()
+  else
+    let run spec =
+      Sys.command
+        (Filename.quote_command run_exe
+           [ "-g"; spec; "-p"; "push"; "--reps"; "1" ]
+           ~stdout:Filename.null ~stderr:Filename.null)
+    in
+    Alcotest.(check int) "valid spec runs" 0 (run "star:5");
+    Alcotest.(check int) "star:0 is a usage error, not an internal one" 124 (run "star:0")
 
 let test_random_spec_uses_rng () =
   let spec = Graph_spec.parse_exn "random-regular:30,3" in
@@ -89,5 +126,8 @@ let suite =
     Alcotest.test_case "to_string roundtrip" `Quick test_roundtrip_to_string;
     Alcotest.test_case "is_random" `Quick test_is_random;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "boundary specs parse" `Quick test_valid_edge_specs_parse;
+    Alcotest.test_case "rumor_run exits 124 on a bad spec" `Quick
+      test_cli_bad_spec_exit_code;
     Alcotest.test_case "random specs use the rng" `Quick test_random_spec_uses_rng;
   ]
