@@ -3,18 +3,22 @@
 
     Events hash by time into fixed-width buckets ("days") laid out over a
     rotating "year"; pop walks the year forward from the day of the last
-    minimum, and the bucket count and width re-tune automatically (factor
-    2 resize) when the load factor drifts, keeping ~2 events per day.
-    Buckets sort lazily — pushes append, and a bucket is sorted at most
-    once per pop that inspects it.
+    minimum.  Storage is one flat slab: each event is a slot in parallel
+    arrays (times in a flat float array), released slots are recycled through a free list, and
+    each bucket is an intrusive list kept sorted by [(time, seq)], so a
+    steady-state push or pop allocates nothing beyond the boxed floats at
+    the call boundary.  The bucket count is a power of two and doubles or
+    halves when the load drifts; each resize re-tunes the day width to
+    twice the mean gap among the earliest pending events, so a day at the
+    front of the queue holds a few events: two right after a resize, at
+    most about four before the next grow.
 
     The observable semantics are exactly {!Event_queue}'s: events drain
     in ascending [(time, insertion order)], same-time events are FIFO,
     so a simulation is a deterministic function of the inserted events
     and never of the bucket geometry.  Both modules implement
-    {!Queue_intf.S}; the heap stays the default for small or short-lived
-    queues (no resize machinery, better constants under ~10^4 events),
-    the calendar wins on long runs with large stable populations.
+    {!Queue_intf.S}; the heap backs the legacy protocol modules and is the
+    calendar's reference in tests.
 
     Degenerate time distributions (e.g. every event at one instant)
     cannot break correctness: a year scan that finds nothing falls back
@@ -50,8 +54,8 @@ val peek_time : 'a t -> float option
 (** Time of the earliest event without removing it. *)
 
 val clear : 'a t -> unit
-(** Drop every pending event, release the bucket storage, reset the
-    geometry to its initial state and the FIFO tie-break counter to 0.
+(** Drop every pending event, release the slab and bucket storage, reset
+    the geometry to its initial state and the FIFO tie-break counter to 0.
     The lifetime resize counter is preserved. *)
 
 val stats : 'a t -> stats

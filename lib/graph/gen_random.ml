@@ -118,19 +118,67 @@ and random_regular_sparse ?trace rng ~n ~d =
       ea.(i) <- stubs.(2 * i);
       eb.(i) <- stubs.((2 * i) + 1)
     done;
-    let key u v = (min u v * n) + max u v in
-    let seen = Hashtbl.create (2 * half) in
+    let key u v = if u < v then (u * n) + v else (v * n) + u in
+    (* Seen-set of healthy edges: an open-addressing table of edge indices
+       (-1 = empty) with linear probing, keyed by [key ea.(i) eb.(i)].  The
+       key is recomputed from the edge arrays, so an index must leave the
+       table before its edge is rewired.  Load factor <= 1/2. *)
+    let bits =
+      let b = ref 1 in
+      while 1 lsl !b < 2 * half do
+        incr b
+      done;
+      !b
+    in
+    let mask = (1 lsl bits) - 1 in
+    let table = Array.make (mask + 1) (-1) in
+    (* Fibonacci hashing: the top [bits] bits of a 63-bit product *)
+    let home k = (k * 0x9E3779B97F4A7C1) lsr (63 - bits) in
+    (* slot holding key [k], or the empty slot ending its probe run *)
+    let probe k =
+      let p = ref (home k) in
+      while
+        let i = table.(!p) in
+        i >= 0 && key ea.(i) eb.(i) <> k
+      do
+        p := (!p + 1) land mask
+      done;
+      !p
+    in
+    let find k = table.(probe k) in
+    let add k i = table.(probe k) <- i in
+    (* backward-shift delete: pull later members of the probe run into the
+       hole unless that would move one before its home slot *)
+    let remove k =
+      let hole = ref (probe k) in
+      if table.(!hole) >= 0 then begin
+        let j = ref ((!hole + 1) land mask) in
+        while table.(!j) >= 0 do
+          let e = table.(!j) in
+          let h = home (key ea.(e) eb.(e)) in
+          let stays =
+            if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j
+          in
+          if not stays then begin
+            table.(!hole) <- e;
+            hole := !j
+          end;
+          j := (!j + 1) land mask
+        done;
+        table.(!hole) <- -1
+      end
+    in
     (* defective pairs are counted as they are found; the switch budget uses
        that running count rather than an O(defects) List.length pass *)
     let bad = ref [] in
     let nbad = ref 0 in
     for i = 0 to half - 1 do
       let u = ea.(i) and v = eb.(i) in
-      if u = v || Hashtbl.mem seen (key u v) then begin
+      if u = v || find (key u v) >= 0 then begin
         bad := i :: !bad;
         incr nbad
       end
-      else Hashtbl.add seen (key u v) i
+      else add (key u v) i
     done;
     (* Repair each defective pair by switching with a random healthy edge. *)
     let switches = ref 0 in
@@ -148,19 +196,19 @@ and random_regular_sparse ?trace rng ~n ~d =
             (* propose (u,x) and (v,y); healthy iff simple and fresh *)
             let ok =
               j <> i && u <> x && v <> y
-              && (not (Hashtbl.mem seen (key u x)))
-              && (not (Hashtbl.mem seen (key v y)))
+              && find (key u x) < 0
+              && find (key v y) < 0
               && key u x <> key v y
-              && Hashtbl.find_opt seen (key x y) = Some j
+              && find (key x y) = j
             in
             if ok then begin
-              Hashtbl.remove seen (key x y);
+              remove (key x y);
               ea.(i) <- u;
               eb.(i) <- x;
               ea.(j) <- v;
               eb.(j) <- y;
-              Hashtbl.add seen (key u x) i;
-              Hashtbl.add seen (key v y) j;
+              add (key u x) i;
+              add (key v y) j;
               repair rest
             end
             else repair defective

@@ -132,6 +132,38 @@ let test_random_regular_dense () =
         (Some d) (Graph.regular_degree g))
     [ (10, 7); (12, 9); (20, 15); (16, 12) ]
 
+(* Output pin for the configuration-model generator: the MD5 of the edge
+   list plus the generator's next draw, so a change to the pairing, the
+   defect detection or the switch repair that moves either the graph or the
+   RNG stream fails here.  At d = 16 every sample needs dozens of switch
+   repairs.  Recorded with the Hashtbl-based seen-set. *)
+let random_regular_digest ~seed ~n ~d =
+  let rng = Rng.of_int seed in
+  let g = Gen.random_regular rng ~n ~d in
+  let buf = Buffer.create (16 * Graph.num_edges g) in
+  Graph.iter_edges g (fun u v -> Printf.bprintf buf "%d %d\n" u v);
+  Printf.bprintf buf "next %d\n" (Rng.int rng 1_000_000_007);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let random_regular_golden =
+  [
+    (1, 2_000, "0be9c64992df5d7f5f7d51c9d7a5a1ce");
+    (2, 2_000, "bc75907c8281963759cec0cfd5f080a3");
+    (3, 2_000, "4bb45d0e135ef994f7859aeb4263d667");
+    (1, 20_000, "3b53946b10b86c731c49890ea3d1b711");
+    (2, 20_000, "06df66899d210057619b51cf4d80a569");
+    (3, 20_000, "c64a0c883d4e6e4b0b537733cb647cfb");
+  ]
+
+let test_random_regular_golden () =
+  List.iter
+    (fun (seed, n, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "random-regular:%d,16 seed %d" n seed)
+        want
+        (random_regular_digest ~seed ~n ~d:16))
+    random_regular_golden
+
 let test_preferential_attachment_structure () =
   let rng = Rng.of_int 75 in
   let n = 400 and m = 3 in
@@ -186,5 +218,6 @@ let suite =
     Alcotest.test_case "samples vary" `Quick test_random_regular_samples_vary;
     Alcotest.test_case "determinism by seed" `Quick test_determinism_by_seed;
     Alcotest.test_case "dense regular graphs" `Quick test_random_regular_dense;
+    Alcotest.test_case "random regular golden digests" `Quick test_random_regular_golden;
     QCheck_alcotest.to_alcotest prop_random_regular_simple;
   ]
