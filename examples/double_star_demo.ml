@@ -30,20 +30,20 @@ let () =
       let seeds = List.init 7 (fun i -> (leaves * 100) + i) in
       let pp =
         mean_time
-          (fun seed -> P.Push_pull.run (Rng.of_int seed) g ~source:s ~max_rounds:1_000_000 ())
+          (fun seed -> P.Engine.push_pull (Rng.of_int seed) g ~source:s ~max_rounds:1_000_000 ())
           seeds
       in
       let vx =
         mean_time
           (fun seed ->
-            P.Visit_exchange.run (Rng.of_int seed) g ~source:s ~agents:(Linear 1.0)
+            P.Engine.visit_exchange (Rng.of_int seed) g ~source:s ~agents:(Linear 1.0)
               ~max_rounds:100_000 ())
           seeds
       in
       let mx =
         mean_time
           (fun seed ->
-            P.Meet_exchange.run_auto (Rng.of_int seed) g ~source:s ~agents:(Linear 1.0)
+            P.Engine.meet_exchange (Rng.of_int seed) g ~source:s ~agents:(Linear 1.0)
               ~max_rounds:100_000 ())
           seeds
       in
@@ -56,21 +56,21 @@ let () =
   let b = ds.Gen_paper.ds_center_b in
   Format.printf "@.bridge-crossing round on n=%d (rumor reaching center b):@." (Graph.n g);
   let pp_cross =
-    (* for push-pull, b is informed exactly when the bridge is first used
-       productively; read it off the detailed visit-exchange API equivalent
-       by running push-pull and checking the curve against b's inform time
-       via a custom run: simplest is to re-run visit-exchange detailed and
-       push-pull curve side by side *)
-    let r = P.Push_pull.run (Rng.of_int 9) g ~source:ds.Gen_paper.ds_leaf_a ~max_rounds:1_000_000 () in
+    (* push-pull's broadcast time bounds its crossing round from above *)
+    let r =
+      P.Engine.push_pull (Rng.of_int 9) g ~source:ds.Gen_paper.ds_leaf_a
+        ~max_rounds:1_000_000 ()
+    in
     P.Run_result.time_exn r
   in
-  let d =
-    P.Visit_exchange.run_detailed (Rng.of_int 9) g ~source:ds.Gen_paper.ds_leaf_a
+  (* visit-exchange's per-vertex informing rounds give b's exact time *)
+  let tau = Array.make (Graph.n g) 0 in
+  let (_ : P.Run_result.t) =
+    P.Engine.visit_exchange ~tau (Rng.of_int 9) g ~source:ds.Gen_paper.ds_leaf_a
       ~agents:(Linear 1.0) ~max_rounds:100_000 ()
   in
   Format.printf "  push-pull finishes (upper bound on crossing): round %d@." pp_cross;
-  Format.printf "  visit-exchange informs center b at:           round %d@."
-    d.P.Visit_exchange.vertex_time.(b);
+  Format.printf "  visit-exchange informs center b at:           round %d@." tau.(b);
   Format.printf
     "@.the separation is the paper's local-fairness argument: agents use every@.";
   Format.printf "edge (including the bridge) at the same per-round rate.@."

@@ -57,7 +57,7 @@ let () =
   List.iter
     (fun (name, variant) ->
       let r =
-        P.Async_push.run (Rng.of_int 999) g ~variant ~source:0 ~max_time:1e6
+        P.Async_engine.push (Rng.of_int 999) g ~variant ~source:0 ~max_time:1e6
       in
       match r.P.Async_push.broadcast_time with
       | Some t ->

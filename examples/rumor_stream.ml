@@ -40,7 +40,7 @@ let () =
 
   (* baseline: the same graph, a single rumor *)
   let baseline =
-    P.Visit_exchange.run (Rng.of_int 2) g ~source:0 ~agents:(Linear 1.0)
+    P.Engine.visit_exchange (Rng.of_int 2) g ~source:0 ~agents:(Linear 1.0)
       ~max_rounds:100_000 ()
   in
   let times = Array.map float_of_int r.P.Multi_rumor.per_rumor_time in

@@ -17,8 +17,8 @@
     in ascending [(time, insertion order)], same-time events are FIFO,
     so a simulation is a deterministic function of the inserted events
     and never of the bucket geometry.  Both modules implement
-    {!Queue_intf.S}; the heap backs the legacy protocol modules and is the
-    calendar's reference in tests.
+    {!Queue_intf.S}; the heap is [Async_engine]'s alternative backend and
+    the calendar's reference in tests.
 
     Degenerate time distributions (e.g. every event at one instant)
     cannot break correctness: a year scan that finds nothing falls back

@@ -17,7 +17,6 @@ type t = {
   informed_curve : int array;
   wall_seconds : float;
   gc : gc_counters;
-  engine : bool;
   shards : int;
 }
 
@@ -83,9 +82,7 @@ let to_json t =
   buf_add_float buf t.gc.major_words;
   Buffer.add_string buf ",\"promoted_words\":";
   buf_add_float buf t.gc.promoted_words;
-  Buffer.add_string buf "},\"engine\":";
-  Buffer.add_string buf (if t.engine then "true" else "false");
-  Buffer.add_string buf ",\"shards\":";
+  Buffer.add_string buf "},\"shards\":";
   Buffer.add_string buf (string_of_int t.shards);
   Buffer.add_char buf '}';
   Buffer.contents buf
@@ -153,8 +150,9 @@ let of_json line =
       let* minor_words = field ~where:gc_obj "minor_words" Json.to_float in
       let* major_words = field ~where:gc_obj "major_words" Json.to_float in
       let* promoted_words = field ~where:gc_obj "promoted_words" Json.to_float in
-      (* schema evolution: records written before the engine fields existed
-         read back as legacy-path runs *)
+      (* schema evolution: records written before [shards] existed read back
+         as unsharded runs; the retired ["engine"] field (a choice between
+         bit-identical kernels) is accepted and ignored *)
       let optional name conv ~default =
         match Json.member name j with
         | None -> Ok default
@@ -163,7 +161,6 @@ let of_json line =
             | Some x -> Ok x
             | None -> Error (Printf.sprintf "field %S has the wrong type" name))
       in
-      let* engine = optional "engine" Json.to_bool ~default:false in
       let* shards = optional "shards" Json.to_int ~default:1 in
       Ok
         {
@@ -179,7 +176,6 @@ let of_json line =
           informed_curve;
           wall_seconds;
           gc = { minor_words; major_words; promoted_words };
-          engine;
           shards;
         }
 

@@ -24,13 +24,14 @@
       "gc": { "minor_words": float,
               "major_words": float,
               "promoted_words": float },
-      "engine": bool,         // flat-frontier engine kernels? (absent = false)
       "shards": int }         // engine randomness shards (absent = 1)
     v}
 
-    The [engine]/[shards] fields were added after the first release; the
-    reader accepts records without them ([false]/[1]), so old metrics files
-    keep loading. *)
+    The [shards] field was added after the first release; the reader
+    accepts records without it ([1]), so old metrics files keep loading.
+    Records of earlier releases may also carry an ["engine"] boolean (it
+    chose between two bit-identical implementations); the reader accepts
+    and ignores it. *)
 
 (** Allocation counters, as deltas over one run (in words, the unit
     [Gc.minor_words] et al. report). *)
@@ -53,8 +54,7 @@ type t = {
   informed_curve : int array;
   wall_seconds : float;
   gc : gc_counters;
-  engine : bool;  (** run through the {!Rumor_protocols.Engine} kernels *)
-  shards : int;  (** engine randomness shards (1 on the legacy path) *)
+  shards : int;  (** per-round randomness shards (1 = sequential) *)
 }
 
 type sink = t -> unit

@@ -7,23 +7,22 @@ module Exp_stream = Rumor_des.Exp_stream
 module Obs = Rumor_obs.Instrument
 module Trace = Rumor_obs.Trace
 
-(* Million-event hot path for the two asynchronous DES kernels.  Same
-   processes as Async_push / Async_meet_exchange, re-expressed over flat
-   state: a Bitset informed set, an unboxed event loop (Queue_intf.pop_into
-   — no [Some (time, payload)] per ring), intrusive int-array agent lists,
-   and Exp(1) clock gaps pre-drawn in batches (Exp_stream) instead of one
-   sampler call per ring.
+(* The asynchronous DES kernels over flat state: a Bitset informed set, an
+   unboxed event loop (Queue_intf.pop_into — no [Some (time, payload)] per
+   ring), intrusive int-array agent lists, and Exp(1) clock gaps pre-drawn
+   in batches (Exp_stream) instead of one sampler call per ring.
 
    Determinism contract: both kernels follow the clock-stream contract
    documented in Async_push's mli — the first [rng] operation splits off
    the clock generator, gaps are consumed from it in schedule order, all
-   other draws stay on [rng] in event order.  Because the legacy modules
-   implement the identical contract, every result field (continuous
-   broadcast time, ring count, integer-mark curve, obs streams) is
-   bit-identical to the legacy run on the same seed, for either queue
-   backend and any batch size.  test/test_async_engine.ml pins this. *)
+   other draws stay on [rng] in event order.  So every result field
+   (continuous broadcast time, ring count, integer-mark curve, obs
+   streams) is a pure function of the seed, for either queue backend and
+   any batch size; the golden fixture (test/golden_digests.ml) pins it. *)
 
-(* same sparse trace cadence as the legacy DES loops *)
+(* Sampling the queue/informed series every event would swamp the trace:
+   sample every 2^10 rings (a power of two so the test mask is exact), plus
+   once at loop exit. *)
 let trace_sample_mask = 1023
 
 let[@inline] des_sample trace ~rings ~queue_size ~informed =
@@ -126,12 +125,11 @@ module Make (Q : Rumor_des.Queue_intf.S) = struct
     let k = Array.length pos in
     let informed = Bitset.create (max k 1) in
     let informed_count = ref 0 in
-    (* Intrusive per-vertex agent lists in three int arrays, replicating
-       the legacy module's cons lists move for move: insertion is at the
-       head and removal keeps the relative order of the others, so the
-       traversal order (and with it the obs contact stream) is identical
-       to [a :: agents_at.(v)] / [List.filter].  Built by ascending agent
-       id exactly like the legacy [Array.iteri] fold. *)
+    (* Intrusive per-vertex agent lists in three int arrays: insertion is
+       at the head and removal keeps the relative order of the others, so
+       the traversal order (and with it the obs contact stream) is that of
+       [a :: agents_at.(v)] / [List.filter] cons lists.  Built by
+       ascending agent id. *)
     let head = Array.make (max n 1) (-1) in
     let next = Array.make (max k 1) (-1) in
     let prev = Array.make (max k 1) (-1) in
@@ -368,7 +366,7 @@ let meet_exchange ?obs ?trace ?lazy_walk ?(walkers = Sparse_walkers.Dense)
   if not (max_time > 0.0) then
     invalid_arg "Async_engine.meet_exchange: max_time must be positive";
   if batch < 1 then invalid_arg "Async_engine.meet_exchange: batch < 1";
-  (* resolved before any rng draw, exactly like the legacy module *)
+  (* resolved before any rng draw *)
   let lazy_walk =
     match lazy_walk with
     | Some b -> b

@@ -1,9 +1,8 @@
-(** Million-event asynchronous engine: the DES kernels of {!Async_push}
-    and {!Async_meet_exchange} over a calendar-queue scheduler, flat
-    state, and batched Poisson clocks.
-
-    What changes relative to the legacy modules — and what provably
-    cannot change:
+(** The continuous-time kernels: asynchronous push and push-pull (see
+    {!Async_push} for the model) and asynchronous meet-exchange (see
+    {!Async_meet_exchange}), the one implementation of each, as
+    discrete-event simulations over a calendar-queue scheduler, flat state
+    and batched Poisson clocks.
 
     - {b Scheduler}: events live in {!Rumor_des.Calendar_queue}
       (amortized O(1) per ring) or {!Rumor_des.Event_queue} (O(log n)),
@@ -16,20 +15,23 @@
       the batch, so results are batch-independent.
     - {b State}: informed sets are {!Bitset}s, the event loop pops
       through [pop_into] (no per-ring boxing), and meet-exchange keeps
-      its per-vertex agent sets as intrusive int-array lists replicating
-      the legacy cons-list order move for move.
+      its per-vertex agent sets as intrusive int-array lists (insert at
+      the head, order-preserving removal), which fixes the order of the
+      contact stream.
 
-    Consequently a run here is bit-identical — broadcast time, ring
-    count, integer-mark curve, and the full [?obs] contact/walker-move
-    stream — to the legacy module's run on the same seed, for every
-    [?queue] and [?batch].  test/test_async_engine.ml and a CI diff step
-    enforce this.
+    A run is a pure function of the seed — broadcast time, ring count,
+    integer-mark curve, and the full [?obs] contact/walker-move stream —
+    for every [?queue] and [?batch], and reproduces the golden fixture
+    (test/golden_digests.ml) on both queues.
 
-    [?trace] mirrors the legacy instrumentation: one
-    ["async_engine.<kernel>.loop"] span, ["queue"]/["informed"] counter
-    samples every 1024 rings, and a final ["rings"] registry total; it
-    never consumes randomness. *)
+    [?trace] records one ["async_engine.<kernel>.loop"] span,
+    ["queue"]/["informed"] counter samples every 1024 rings, and a final
+    ["rings"] registry total; it never consumes randomness. *)
 
+(** The event-queue backend.  Both give identical results.  The heap
+    stays until the benchmark harness (perfbench/call.ml), which passes
+    [~queue:Calendar], no longer names the choice; the calendar queue beats
+    it at every measured size. *)
 type queue =
   | Heap  (** {!Rumor_des.Event_queue}: no resize machinery, better
               constants on small/short-lived runs *)
@@ -51,9 +53,13 @@ val push :
   source:int ->
   max_time:float ->
   Async_push.result
-(** Engine counterpart of {!Async_push.run}; bit-identical to it on the
-    same seed.  [?stats] (when provided) receives the calendar queue's
-    final geometry, or [None] under [?queue:Heap].
+(** Simulate asynchronous push or push-pull ([variant]) until every vertex
+    is informed or continuous time exceeds [max_time].  Push keeps clocks
+    on informed vertices only; push-pull on every vertex.  The model has
+    no rounds, so [obs] only receives [on_contact] (one per ring).
+    [?stats] (when provided) receives the calendar queue's final
+    geometry, or [None] under [?queue:Heap]; the benchmark harness reads
+    it.
     @raise Invalid_argument on a bad source, non-positive [max_time] or
     [batch < 1]. *)
 
@@ -71,9 +77,15 @@ val meet_exchange :
   agents:Rumor_agents.Placement.spec ->
   max_time:float ->
   Async_meet_exchange.result
-(** Engine counterpart of {!Async_meet_exchange.run}; bit-identical to it
-    on the same seed.  An omitted [lazy_walk] resolves to the graph's
-    bipartiteness, like the legacy module.
+(** Simulate asynchronous meet-exchange until every agent is informed or
+    continuous time exceeds [max_time].  Placement and walk draws come from
+    [rng] itself, clock gaps from the split-off clock stream.  An omitted
+    [lazy_walk] resolves to the graph's bipartiteness, like
+    {!Engine.meet_exchange}: continuous time terminates either way, the
+    default only keeps the walk law aligned with the synchronous
+    protocol's; pass [~lazy_walk:false] to study the pure [33]/[34] model
+    on bipartite graphs.  Dense runs fire [on_walker_move] (one per ring)
+    and [on_contact] (one per newly informed agent).
 
     [?walkers] ({!Sparse_walkers.Dense} by default) selects the walker
     representation.  Sparse mode compresses walkers into per-vertex
@@ -81,8 +93,8 @@ val meet_exchange :
     with one aggregate rate-k Poisson clock: each ring samples a vertex
     with probability proportional to its occupancy through a
     {!Rumor_prob.Fenwick} tree (O(log n), no queue at all), closing the
-    n = 10^6 async gap.  Sparse runs are seed-deterministic but not
-    bit-identical to dense, fire no per-agent [?obs] hooks, and always
+    n = 10^6 async gap.  Sparse runs are seed-deterministic but follow a
+    different sample path than dense, fire no per-agent [?obs] hooks, and always
     report [None] into [?stats]; [?queue]/[?batch] only affect the clock
     pre-draw.  [Auto] picks sparse at {!Sparse_walkers.auto_threshold}
     agents.

@@ -12,7 +12,10 @@
     time even though their synchronized counterparts would swap forever.
     Ablation A8 measures exactly this (passing [~lazy_walk:false]
     explicitly), alongside the continuous/discrete agreement on
-    non-bipartite graphs. *)
+    non-bipartite graphs.
+
+    The process runs in {!Async_engine.meet_exchange}; this module holds
+    its result type and the projection onto {!Run_result}. *)
 
 type result = {
   broadcast_time : float option;
@@ -24,29 +27,6 @@ type result = {
       (** informed-agent count sampled at integer times, in the format of
           {!Async_push.result}'s curve *)
 }
-
-val run :
-  ?obs:Rumor_obs.Instrument.t ->
-  ?trace:Rumor_obs.Trace.t ->
-  ?lazy_walk:bool ->
-  Rumor_prob.Rng.t ->
-  Rumor_graph.Graph.t ->
-  source:int ->
-  agents:Rumor_agents.Placement.spec ->
-  max_time:float ->
-  result
-(** [run rng g ~source ~agents ~max_time].  An omitted [lazy_walk]
-    resolves like {!Meet_exchange.run}: lazy iff the graph is bipartite.
-    Continuous time terminates either way — the default only keeps the walk
-    law aligned with the synchronous protocol's safe default; pass
-    [~lazy_walk:false] to study the pure [33]/[34] model on bipartite
-    graphs.  The model has no rounds, so [obs] receives [on_walker_move]
-    (one per ring) and [on_contact] (one per newly informed agent).
-    Follows the clock-stream contract of {!Async_push}: clock gaps come
-    from a generator split off [rng] up front, placement and walk draws
-    from [rng] itself — so {!Async_engine.meet_exchange} is bit-identical
-    on the same seed.
-    @raise Invalid_argument on a bad source or non-positive [max_time]. *)
 
 val to_run_result : result -> Run_result.t
 (** Project onto the synchronous result type, like

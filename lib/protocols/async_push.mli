@@ -13,18 +13,14 @@
     Ablation A5 checks the regular-graph equivalence empirically, and
     experiment A9 the sync/async agreement at Theorem granularity.
 
-    Implemented by discrete-event simulation over {!Rumor_des.Event_queue}:
-    only informed vertices need clocks for push, so a run costs
-    O(n log n + total rings).  For million-node runs use
-    {!Async_engine}, the calendar-queue kernel with batched clocks; it is
-    bit-identical to this module on the same seed.
+    The process runs in {!Async_engine.push}; this module holds the types
+    it shares with its callers and the curve plumbing of both DES kernels.
 
     {2 Clock-stream contract}
 
-    The reference RNG-consumption order, which both this module and
-    {!Async_engine} implement exactly: the first operation on [rng]
-    splits off a dedicated clock generator ({!Rumor_prob.Rng.split});
-    every Exp(1) clock gap is drawn from that clock stream in schedule
+    The RNG-consumption order of both {!Async_engine} kernels: the first
+    operation on [rng] splits off a dedicated clock generator
+    ({!Rumor_prob.Rng.split}); every Exp(1) clock gap is drawn from that clock stream in schedule
     order, and every other draw (here: uniform neighbor picks) comes from
     [rng] itself in event order.  Batching clock draws then cannot change
     any result, because the k-th scheduled gap is the clock stream's k-th
@@ -44,23 +40,6 @@ type result = {
           it ends at the last integer mark [<= max_time]. *)
 }
 
-val run :
-  ?obs:Rumor_obs.Instrument.t ->
-  ?trace:Rumor_obs.Trace.t ->
-  Rumor_prob.Rng.t ->
-  Rumor_graph.Graph.t ->
-  variant:variant ->
-  source:int ->
-  max_time:float ->
-  result
-(** [run rng g ~variant ~source ~max_time] simulates until all vertices are
-    informed or continuous time exceeds [max_time].  The model has no
-    rounds, so [obs] only receives [on_contact] (one per clock ring).
-    [trace] wraps the event loop in an ["async_push.loop"] span, samples
-    the ["queue"]/["informed"] counter series every 1024 rings, and adds
-    the ring total to the registry; it never consumes randomness.
-    @raise Invalid_argument on a bad source or non-positive [max_time]. *)
-
 val to_run_result : result -> Run_result.t
 (** Project onto the synchronous result type: [broadcast_time] rounds up
     to an integer round count, [informed_curve] is the [curve] field,
@@ -69,10 +48,9 @@ val to_run_result : result -> Run_result.t
 
 (** {2 Integer-mark curve plumbing}
 
-    Shared by this module, {!Async_meet_exchange} and {!Async_engine} so
-    all four async loops emit byte-identical curves for the same event
-    sequence.  The curve value at mark [m] is the informed count after
-    every event with time [<= m]. *)
+    Shared by the {!Async_engine} loops so they all emit curves in the same
+    format for the same event sequence.  The curve value at mark [m] is
+    the informed count after every event with time [<= m]. *)
 
 val curve_hint : float -> int
 (** Curve-buffer size hint for a [max_time] cap. *)

@@ -7,20 +7,18 @@ module Placement = Rumor_agents.Placement
 module Pool = Rumor_par.Pool
 module Par = Rumor_par.Parallel_for
 
-(* Million-node hot path for the four core round kernels.  Same protocols as
-   Push / Push_pull / Visit_exchange / Meet_exchange, re-expressed over flat
-   state: a Bitset per informed set (1 bit per vertex or agent), a dense
-   frontier/position array, and growable Curve_buf curves, so per-run memory
-   is O(n + m + rounds run) words and the inner loops touch only flat arrays.
+(* The synchronous round kernels over flat state: a Bitset per informed set
+   (1 bit per vertex or agent), a dense frontier/position array, and
+   growable Curve_buf curves, so per-run memory is O(n + m + rounds run)
+   words and the inner loops touch only flat arrays.
 
    Determinism contract (extends PR 5's replication contract to intra-round
    parallelism):
 
-   - [shards = 1] (the default) consumes the caller's [rng] in exactly the
-     same order as the legacy kernel, so every field of the result — curves,
-     contact counts, tau arrays, observation streams — is bit-identical to
-     the corresponding [Push.run] / [Push_pull.run] / ... call on the same
-     seed.  The equivalence suite in test/test_engine.ml pins this.
+   - [shards = 1] (the default) consumes the caller's [rng] in one fixed
+     order, so every field of the result — curves, contact counts, tau
+     arrays, observation streams — is a pure function of the seed.  The
+     golden fixture (test/golden_digests.ml) pins this order.
 
    - [shards = S > 1] re-keys randomness per round: the round's random
      choices are drawn from [Rng.split_n rng S], child [s] covering the
@@ -70,6 +68,15 @@ let check_common ~who ~n ~source ~max_rounds ~shards =
   if max_rounds < 0 then invalid_arg (who ^ ": negative round cap");
   if shards < 1 then invalid_arg (who ^ ": shards < 1")
 
+(* An optional per-vertex informing-round output: every vertex starts
+   uninformed ([max_int]) except the source, informed at round 0. *)
+let init_tau ~who ~n ~source = function
+  | Some tau ->
+      if Array.length tau <> n then invalid_arg (who ^ ": tau length <> n");
+      Array.fill tau 0 n max_int;
+      tau.(source) <- 0
+  | None -> ()
+
 (* ------------------------------------------------------------------ push *)
 
 (* lint: hot *)
@@ -79,12 +86,7 @@ let push ?traffic ?obs ?trace ?(failure_prob = 0.0) ?tau ?(shards = 1) ?pool
   check_common ~who:"Engine.push" ~n ~source ~max_rounds ~shards;
   if not (failure_prob >= 0.0 && failure_prob < 1.0) then
     invalid_arg "Engine.push: failure_prob outside [0, 1)";
-  (match tau with
-  | Some tau ->
-      if Array.length tau <> n then invalid_arg "Engine.push: tau length <> n";
-      Array.fill tau 0 n max_int;
-      tau.(source) <- 0
-  | None -> ());
+  init_tau ~who:"Engine.push" ~n ~source tau;
   let informed = Bitset.create n in
   (* order.(0 .. count-1) lists informed vertices in informing order; the
      first [active] of them push this round *)
@@ -389,8 +391,8 @@ let visit_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
     ~contacts:!contacts ()
 
 (* lint: hot *)
-let visit_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
-    ~source ~agents ~max_rounds () =
+let visit_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
+    g ~source ~agents ~max_rounds () =
   let n = Graph.n g in
   let pos = place_agents ~who:"Engine.visit_exchange" rng g agents in
   let k = Array.length pos in
@@ -443,6 +445,7 @@ let visit_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
         let v = pos.(a) in
         if not (Bitset.mem vertex_informed v) then begin
           Bitset.add vertex_informed v;
+          (match tau with Some tau -> tau.(v) <- round | None -> ());
           incr informed_vertices;
           incr contacts;
           last_vertex_round := round;
@@ -482,19 +485,22 @@ let visit_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
     ~contacts:!contacts ()
 
 let visit_exchange ?traffic ?obs ?trace ?(lazy_walk = false)
-    ?(walkers = Sparse_walkers.Dense) ?(shards = 1) ?pool rng g ~source
+    ?(walkers = Sparse_walkers.Dense) ?tau ?(shards = 1) ?pool rng g ~source
     ~agents ~max_rounds () =
   let n = Graph.n g in
   check_common ~who:"Engine.visit_exchange" ~n ~source ~max_rounds ~shards;
+  init_tau ~who:"Engine.visit_exchange" ~n ~source tau;
   if Sparse_walkers.use_sparse walkers agents g then begin
     if Option.is_some traffic then
       invalid_arg "Engine.visit_exchange: traffic recording requires dense walkers";
+    if Option.is_some tau then
+      invalid_arg "Engine.visit_exchange: tau recording requires dense walkers";
     visit_exchange_sparse ?obs ?trace ~lazy_walk rng g ~source ~agents
       ~max_rounds ()
   end
   else
-    visit_exchange_dense ?traffic ?obs ?trace ~lazy_walk ~shards ?pool rng g
-      ~source ~agents ~max_rounds ()
+    visit_exchange_dense ?traffic ?obs ?trace ?tau ~lazy_walk ~shards ?pool rng
+      g ~source ~agents ~max_rounds ()
 
 (* --------------------------------------------------------- meet-exchange *)
 
@@ -676,8 +682,8 @@ let meet_exchange ?traffic ?obs ?trace ?lazy_walk
     ~agents ~max_rounds () =
   let n = Graph.n g in
   check_common ~who:"Engine.meet_exchange" ~n ~source ~max_rounds ~shards;
-  (* same unsafe-default fix as Meet_exchange: an omitted [lazy_walk]
-     resolves by testing bipartiteness *)
+  (* an omitted [lazy_walk] resolves by testing bipartiteness: the
+     non-lazy process cannot complete on a bipartite graph *)
   let lazy_walk =
     match lazy_walk with
     | Some b -> b
@@ -695,10 +701,10 @@ let meet_exchange ?traffic ?obs ?trace ?lazy_walk
 
 (* --------------------------------------------------------------- combined *)
 
-(* Engine path for the Combined protocol: the push-pull frontier half and
-   the visit-exchange walker half composed in one round loop, consuming the
-   rng in exactly Combined.run's order at [shards = 1] (placement draws,
-   then per round: n push-pull picks, k walker moves). *)
+(* The Combined protocol: the push-pull frontier half and the visit-exchange
+   walker half composed in one round loop, consuming the rng in one fixed
+   order at [shards = 1] (placement draws, then per round: n push-pull
+   picks, k walker moves). *)
 (* lint: hot *)
 let combined ?obs ?trace ?(lazy_walk = false) ?(shards = 1) ?pool rng g
     ~source ~agents ~max_rounds () =
@@ -722,8 +728,7 @@ let combined ?obs ?trace ?(lazy_walk = false) ?(shards = 1) ?pool rng g
   let picks = if shards = 1 then [||] else Array.make n 0 in
   let moves = if shards = 1 then [||] else Array.make k 0 in
   let pool = if shards = 1 then None else Some (get_pool pool) in
-  (* hoisted closures: allocated once per run, not per round like the
-     legacy kernel's *)
+  (* hoisted closures: allocated once per run, not per round *)
   let inform_vertex round v =
     if vertex_time.(v) = max_int then begin
       vertex_time.(v) <- round;

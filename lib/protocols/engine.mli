@@ -1,18 +1,20 @@
-(** Million-node hot-path engine for the four core round kernels.
+(** The synchronous round kernels: push, push-pull, visit-exchange,
+    meet-exchange and combined (Section 3 of the paper), the one
+    implementation of each.
 
-    Same protocols as {!Push}, {!Push_pull}, {!Visit_exchange} and
-    {!Meet_exchange}, re-expressed over flat state: informed sets live in
-    {!Bitset}s (1 bit per vertex/agent), the push frontier and walker
-    positions are dense [int array]s over the CSR graph, and curves grow in
-    {!Curve_buf}s — per-run memory is O(n + m + rounds run) words and a run
-    at n = 10^7 is a few GB dominated by the graph itself.
+    State is flat: informed sets live in {!Bitset}s (1 bit per
+    vertex/agent), the push frontier and walker positions are dense
+    [int array]s over the CSR graph, and curves grow in {!Curve_buf}s —
+    per-run memory is O(n + m + rounds run) words and a run at n = 10^7 is
+    a few GB dominated by the graph itself.
 
     {2 Determinism}
 
-    - [?shards:1] (the default) consumes the caller's [rng] in exactly the
-      legacy kernel's order, so the whole {!Run_result} — curves, contact
-      counts, optional [tau] array, and the [?obs]/[?traffic] streams — is
-      bit-identical to the corresponding legacy run on the same seed.
+    - [?shards:1] (the default) consumes the caller's [rng] in one fixed
+      order, so the whole {!Run_result} — curves, contact counts, optional
+      [tau] array, and the [?obs]/[?traffic] streams — is a pure function
+      of the seed and reproduces the golden fixture
+      (test/golden_digests.ml).
     - [?shards:S] with [S > 1] draws each round's random choices from
       [Rng.split_n rng S], one child per contiguous shard
       ({!Rumor_par.Parallel_for} geometry), and applies all state updates in
@@ -66,9 +68,18 @@ val push :
   max_rounds:int ->
   unit ->
   Run_result.t
-(** Synchronous push.  [?tau], when given, must have length [n] and is
-    filled with each vertex's informing round ([max_int] if never informed)
-    — the engine counterpart of [Push.informed_times].
+(** Synchronous push (Demers et al.).  Round 0 informs the source; in every
+    round [t >= 1] each vertex informed in a previous round sends the rumor
+    to a uniformly random neighbor.  Runs until every vertex is informed or
+    [max_rounds] rounds have run; one contact per push.
+
+    [failure_prob] (default 0) drops each transmission independently with
+    that probability — the random-failure model of Elsässer–Sauerwald [22],
+    which the paper's Lemma 4 proof relies on.  Failed contacts still count
+    towards [contacts] and [traffic] (the call happens; the payload is
+    lost).  [?tau], when given, must have length [n] and is filled with
+    each vertex's informing round ([max_int] if never informed) — the
+    quantity the Section 5 coupling argument reasons about.
     @raise Invalid_argument also if [failure_prob] is outside [0, 1) or
     [tau] has the wrong length. *)
 
@@ -84,7 +95,11 @@ val push_pull :
   max_rounds:int ->
   unit ->
   Run_result.t
-(** Synchronous push–pull. *)
+(** Synchronous push–pull (Karp et al.).  In every round {e every} vertex
+    samples a uniformly random neighbor, and if exactly one endpoint of the
+    contact was informed before the round, the other becomes informed.
+    Each vertex's call counts as one contact (n per round).
+    @raise Invalid_argument also on an isolated vertex. *)
 
 val visit_exchange :
   ?traffic:Traffic.t ->
@@ -92,6 +107,7 @@ val visit_exchange :
   ?trace:Rumor_obs.Trace.t ->
   ?lazy_walk:bool ->
   ?walkers:Sparse_walkers.mode ->
+  ?tau:int array ->
   ?shards:int ->
   ?pool:Rumor_par.Pool.t ->
   Rumor_prob.Rng.t ->
@@ -101,8 +117,20 @@ val visit_exchange :
   max_rounds:int ->
   unit ->
   Run_result.t
-(** Visit-Exchange over flat walker arrays ([?lazy_walk] defaults to
-    [false], as in {!Visit_exchange}). *)
+(** Synchronous visit-exchange (Section 3 of the paper) over flat walker
+    arrays.  Agents perform random walks ([?lazy_walk], default [false],
+    makes each step stay put with probability 1/2).  Round 0 informs the
+    source and every agent on it; in each later round all agents step,
+    then an agent informed in a previous round informs the vertex it
+    stands on, and an uninformed agent on an informed vertex becomes
+    informed.  The curve counts informed vertices, [contacts] counts one
+    per agent–vertex transfer in either direction, and the run continues
+    past the last vertex until all agents are informed
+    ([all_agents_informed]).  [?tau], when given, must have length [n] and
+    is filled with each vertex's informing round ([max_int] if never
+    informed), as in {!push}.
+    @raise Invalid_argument also if [tau] has the wrong length, or if
+    [traffic] or [tau] is given with sparse walkers. *)
 
 val meet_exchange :
   ?traffic:Traffic.t ->
@@ -119,8 +147,20 @@ val meet_exchange :
   max_rounds:int ->
   unit ->
   Run_result.t
-(** Meet-Exchange; an omitted [?lazy_walk] resolves to bipartiteness of the
-    graph, exactly as {!Meet_exchange.run}. *)
+(** Synchronous meet-exchange.  Only agents store the rumor.  Round 0
+    informs every agent standing on the source; if there is none, the
+    {e first} agents to visit the source later become informed (all of
+    them, if several arrive together), after which the source stops
+    informing.  In each round, a vertex holding an agent informed in a
+    previous round informs every agent standing on it.  The curve counts
+    informed {e agents}; [contacts] counts one per source→agent and
+    agent→agent transfer; broadcast completes when all agents are informed.
+
+    On bipartite graphs the non-lazy process can fail to complete (walks in
+    opposite parity classes never meet), so an omitted [?lazy_walk]
+    resolves to the graph's bipartiteness (the [Lazy_auto] convention of
+    [Rumor_sim.Protocol]).  Pass [~lazy_walk:false] to exhibit the parity
+    trap. *)
 
 val combined :
   ?obs:Rumor_obs.Instrument.t ->
@@ -135,8 +175,12 @@ val combined :
   max_rounds:int ->
   unit ->
   Run_result.t
-(** The Combined protocol (push–pull frontier half + visit-exchange walker
-    half in one round) on the engine's flat state; bit-identical to
-    {!Combined.run} at [?shards:1] on the same seed, obs stream included.
-    [?lazy_walk] defaults to [false], as in the legacy module.  Dense
-    walkers only — the sparse representation has no combined kernel. *)
+(** Push–pull and visit-exchange side by side on a shared informed set:
+    one round of both mechanisms per round, a vertex informed as soon as
+    either informs it, agents learning from vertices as in
+    {!visit_exchange}.  The paper's introduction observes that each
+    mechanism covers the other's bad cases (push–pull is slow on the double
+    star, visit-exchange on the heavy binary tree); experiment E10 checks
+    that the combination is logarithmic on both.  The curve counts
+    vertices; [?lazy_walk] defaults to [false].  Dense walkers only — the
+    sparse representation has no combined kernel. *)

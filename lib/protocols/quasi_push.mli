@@ -19,4 +19,4 @@ val run :
   max_rounds:int ->
   unit ->
   Run_result.t
-(** [run rng g ~source ~max_rounds ()] — same conventions as {!Push.run}. *)
+(** [run rng g ~source ~max_rounds ()] — same conventions as {!Engine.push}. *)

@@ -48,18 +48,9 @@ let with_jobs jobs f =
   current_jobs := jobs;
   Fun.protect ~finally:(fun () -> current_jobs := saved) f
 
-(* And for the engine flag: measured cells are bit-identical either way
-   (shards stay at 1), so this too is a pure performance choice. *)
-let current_engine = ref false
-
-let with_engine engine f =
-  let saved = !current_engine in
-  current_engine := engine;
-  Fun.protect ~finally:(fun () -> current_engine := saved) f
-
-(* And for the walker representation: with the dense default every engine
-   cell keeps the bit-identical contract; [Sparse]/[Auto] are opt-in and
-   gated distributionally by A10. *)
+(* And for the walker representation: with the dense default every cell
+   reproduces the golden fixture; [Sparse]/[Auto] are opt-in and gated
+   distributionally by A10. *)
 let current_walkers : Protocol.walkers ref = ref Protocol.Dense
 
 let with_walkers walkers f =
@@ -78,7 +69,7 @@ let with_trace trace f =
 
 let measure_cell ~seed ~reps ~graph ~spec ~max_rounds =
   Replicate.broadcast_times ?sink:!metrics_sink ~jobs:!current_jobs
-    ?trace:!current_trace ~engine:!current_engine ~walkers:!current_walkers
+    ?trace:!current_trace ~walkers:!current_walkers
     ~seed ~reps ~graph ~spec ~max_rounds ()
 
 let time_cell (m : Replicate.measurement) =
@@ -547,9 +538,12 @@ let e9b_table profile ~seed =
         for _ = 1 to trials do
           let rng = Rng.split master in
           let g = Gen_random.random_regular_connected rng ~n ~d in
-          let tau = P.Push.informed_times rng g ~source:0 ~max_rounds:(100 * n) in
-          let dvx =
-            P.Visit_exchange.run_detailed rng g ~source:0
+          let tau = Array.make n 0 and vertex_time = Array.make n 0 in
+          let (_ : P.Run_result.t) =
+            P.Engine.push ~tau rng g ~source:0 ~max_rounds:(100 * n) ()
+          in
+          let (_ : P.Run_result.t) =
+            P.Engine.visit_exchange ~tau:vertex_time rng g ~source:0
               ~agents:(Placement.Linear alpha) ~max_rounds:(100 * n) ()
           in
           let ln_n = log (float_of_int n) in
@@ -559,7 +553,7 @@ let e9b_table profile ~seed =
                 let ratio = float_of_int tu /. (float_of_int tau.(u) +. ln_n) in
                 if ratio > !worst_ratio then worst_ratio := ratio
               end)
-            dvx.P.Visit_exchange.vertex_time;
+            vertex_time;
           let t_run =
             P.Tweaked_visit_exchange.run_t_visit_exchange rng g ~source:0
               ~agents:(Placement.Linear alpha) ~gamma:6.0 ~max_rounds:(100 * n) ()
@@ -932,17 +926,17 @@ let a5_run profile ~seed =
         for _ = 1 to reps do
           let rng = Rng.split master in
           let g = Gen_random.random_regular_connected rng ~n ~d in
-          let r = P.Push.run rng g ~source:0 ~max_rounds:100_000 () in
+          let r = P.Engine.push rng g ~source:0 ~max_rounds:100_000 () in
           Stats.add_int sync (P.Run_result.time_exn r);
           (match
-             (P.Async_push.run rng g ~variant:P.Async_push.Async_push ~source:0
+             (P.Async_engine.push rng g ~variant:P.Async_push.Async_push ~source:0
                 ~max_time:1e6)
                .P.Async_push.broadcast_time
            with
           | Some t -> Stats.add async_p t
           | None -> ());
           match
-            (P.Async_push.run rng g ~variant:P.Async_push.Async_push_pull ~source:0
+            (P.Async_engine.push rng g ~variant:P.Async_push.Async_push_pull ~source:0
                ~max_time:1e6)
               .P.Async_push.broadcast_time
           with
@@ -1056,7 +1050,7 @@ let a7_run profile ~seed =
         for _ = 1 to reps do
           let rng = Rng.split master in
           let g = Gen_random.random_regular_connected rng ~n ~d in
-          let r = P.Push.run ~failure_prob rng g ~source:0 ~max_rounds:(100 * n) () in
+          let r = P.Engine.push ~failure_prob rng g ~source:0 ~max_rounds:(100 * n) () in
           Stats.add_int stats (P.Run_result.time_exn r)
         done;
         let t = Stats.mean stats in
@@ -1441,7 +1435,7 @@ let r7_run profile ~seed =
         for _ = 1 to reps do
           let rng = Rng.split master in
           let r =
-            P.Meet_exchange.run ~lazy_walk rng g ~source:0
+            P.Engine.meet_exchange ~lazy_walk rng g ~source:0
               ~agents:(Placement.Stationary 2)
               ~max_rounds:(int_of_float (2000.0 *. meeting))
               ()
@@ -1513,7 +1507,7 @@ let r8_run profile ~seed =
       r.P.Multi_rumor.per_rumor_time;
     (* baseline: one isolated rumor on the same graph *)
     let b =
-      P.Visit_exchange.run rng g ~source:0 ~agents:(Placement.Linear alpha)
+      P.Engine.visit_exchange rng g ~source:0 ~agents:(Placement.Linear alpha)
         ~max_rounds:100_000 ()
     in
     Stats.add_int single_stats (P.Run_result.time_exn b)
@@ -1580,21 +1574,21 @@ let a8_run profile ~seed =
           (* ~lazy_walk:false on purpose: A8 studies the pure continuous
              process, where parity needs no lazy fix. *)
           (match
-             (P.Async_meet_exchange.run ~lazy_walk:false rng g ~source
+             (P.Async_engine.meet_exchange ~lazy_walk:false rng g ~source
                 ~agents:(Placement.Linear alpha) ~max_time:1e6)
                .P.Async_meet_exchange.broadcast_time
            with
           | Some t -> Stats.add cont t
           | None -> ());
           let d =
-            P.Meet_exchange.run ~lazy_walk:true rng g ~source
+            P.Engine.meet_exchange ~lazy_walk:true rng g ~source
               ~agents:(Placement.Linear alpha) ~max_rounds:100_000 ()
           in
           (match d.P.Run_result.broadcast_time with
           | Some t -> Stats.add_int disc t
           | None -> ());
           let nl =
-            P.Meet_exchange.run ~lazy_walk:false rng g ~source
+            P.Engine.meet_exchange ~lazy_walk:false rng g ~source
               ~agents:(Placement.Linear alpha) ~max_rounds:2000 ()
           in
           if nl.P.Run_result.broadcast_time <> None then incr disc_nonlazy_completed
@@ -1637,11 +1631,10 @@ let a8_run profile ~seed =
    asynchronous push matches synchronous push asymptotically on regular
    graphs, and both are Theta(log n) on G(n,p) above the connectivity
    threshold — so the mean async/sync ratio must sit inside a fixed
-   constant band.  Unlike A5 (which calls the legacy module directly),
-   both columns here go through Protocol/measure_cell, so running the
-   suite with --engine pushes the async column through Async_engine's
-   calendar-queue/batched-clock path; the verdict column then doubles as
-   a Theorem-level regression check on the engine itself. *)
+   constant band.  Both columns go through Protocol/measure_cell, so the
+   async column runs on Async_engine's calendar-queue/batched-clock path
+   and the verdict column doubles as a Theorem-level regression check on
+   the engine itself. *)
 let a9_run profile ~seed =
   let ns = pick profile ~quick:[ 256; 512 ] ~full:[ 512; 1024; 2048; 4096 ] in
   let reps = reps profile in
@@ -1710,8 +1703,8 @@ let a9_run profile ~seed =
           Printf.sprintf
             "verdict is ok iff the mean async/sync ratio lies in [%.2f, %.2f] \
              — the constant band the asymptotic agreement predicts" lo hi;
-          "with --engine the async column runs on the calendar-queue DES \
-           engine (Async_engine), making this a Theorem-level engine check";
+          "the async column runs on the calendar-queue DES engine \
+           (Async_engine), making this a Theorem-level engine check";
         ]
       ~title:"A9: sync vs async push on G(n,p) and random regular"
       ~claim:
@@ -1765,13 +1758,13 @@ let a10_run profile ~seed =
     ]
   in
   let specs = [ ("visit-exchange", vx); ("meet-exchange", mx) ] in
-  (* Both columns force the engine path; only [walkers] differs.  The same
+  (* Both columns run the same kernels; only [walkers] differs.  The same
      cell seed drives the dense and sparse measurement of a pair, so the
      comparison is paired: same graphs, same placements, independent walk
      randomness past the divergence point. *)
   let measure_walkers ~walkers ~seed ~graph ~spec =
     Replicate.broadcast_times ?sink:!metrics_sink ~jobs:!current_jobs
-      ?trace:!current_trace ~engine:true ~walkers ~seed ~reps ~graph ~spec
+      ?trace:!current_trace ~walkers ~seed ~reps ~graph ~spec
       ~max_rounds:(100 * n) ()
   in
   let rows =
@@ -1932,8 +1925,8 @@ let find id =
   let id = String.uppercase_ascii id in
   List.find_opt (fun e -> String.uppercase_ascii e.id = id) all
 
-let run_all ?ids ?metrics ?trace ?(jobs = 1) ?(engine = false)
-    ?(walkers = Protocol.Dense) profile ~seed =
+let run_all ?ids ?metrics ?trace ?(jobs = 1) ?(walkers = Protocol.Dense)
+    profile ~seed =
   let selected =
     match ids with
     | None -> all
@@ -1963,7 +1956,5 @@ let run_all ?ids ?metrics ?trace ?(jobs = 1) ?(engine = false)
     match trace with None -> f () | Some tr -> with_trace tr f
   in
   with_opt_trace (fun () ->
-      with_engine engine (fun () ->
-          with_walkers walkers (fun () ->
-              with_jobs jobs (fun () ->
-                  List.map (fun e -> (e, run_one e)) selected))))
+      with_walkers walkers (fun () ->
+          with_jobs jobs (fun () -> List.map (fun e -> (e, run_one e)) selected)))

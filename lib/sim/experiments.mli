@@ -38,7 +38,6 @@ val run_all :
   ?metrics:Rumor_obs.Run_record.sink ->
   ?trace:Rumor_obs.Trace.t ->
   ?jobs:int ->
-  ?engine:bool ->
   ?walkers:Protocol.walkers ->
   profile ->
   seed:int ->
@@ -55,14 +54,10 @@ val run_all :
     measurements parallelize; the invariant-checking experiments (E9, A5–A8,
     R7, R8) drive their own sequential loops and ignore it.
 
-    [engine] (default [false]) routes every measured cell through the
-    flat-frontier kernels ({!Replicate.broadcast_times}'s [~engine]); cells
-    are bit-identical either way, so the flag only changes wall-clock.
-
     [walkers] (default [Dense]) selects the walker representation for
-    engine cells ({!Replicate.broadcast_times}'s [?walkers]); only
-    meaningful with [engine].  [Sparse]/[Auto]-resolved-sparse cells are
-    seed-deterministic but not bit-identical to dense — the A10 gate
+    measured cells ({!Replicate.broadcast_times}'s [?walkers]).
+    [Sparse]/[Auto]-resolved-sparse cells are seed-deterministic but
+    follow a different sample path than dense ones — the A10 gate
     bounds the distributional drift.  A10 itself ignores this and always
     measures both representations explicitly.
 
@@ -79,14 +74,9 @@ val with_jobs : int -> (unit -> 'a) -> 'a
 (** [with_jobs jobs f] sets the replication parallelism degree for the
     dynamic extent of [f], like {!with_metrics_sink} does for the sink. *)
 
-val with_engine : bool -> (unit -> 'a) -> 'a
-(** [with_engine on f] routes measured cells through the engine kernels for
-    the dynamic extent of [f] (same scoping as {!with_jobs}). *)
-
 val with_walkers : Protocol.walkers -> (unit -> 'a) -> 'a
-(** [with_walkers w f] sets the engine walker representation for measured
-    cells within [f] (same scoping as {!with_jobs}; no effect unless the
-    engine flag is also on). *)
+(** [with_walkers w f] sets the walker representation for measured cells
+    within [f] (same scoping as {!with_jobs}). *)
 
 val with_trace : Rumor_obs.Trace.t -> (unit -> 'a) -> 'a
 (** [with_trace tr f] records every cell measured within [f] into [tr]

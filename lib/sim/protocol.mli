@@ -54,21 +54,53 @@ val name : spec -> string
     "pull", "meet-exchange", "combined", "quasi-push", "cobra", "frog",
     "flood", "async-push", "async-push-pull", "async-meet-exchange". *)
 
+type walkers = Rumor_protocols.Sparse_walkers.mode = Dense | Sparse | Auto
+(** Walker representation for the agent-based kernels — see
+    {!Rumor_protocols.Engine}.  [Dense] keeps per-agent positions and
+    reproduces the golden fixture; [Sparse] switches to count-compressed
+    per-vertex occupancy (seed-deterministic, distributionally equivalent —
+    gated by experiment A10 — but a different sample path); [Auto] picks
+    sparse above {!Rumor_protocols.Sparse_walkers.auto_threshold} agents. *)
+
+val walkers_name : walkers -> string
+val walkers_of_string : string -> walkers option
+
 val run :
   ?traffic:Rumor_protocols.Traffic.t ->
   ?obs:Rumor_obs.Instrument.t ->
+  ?trace:Rumor_obs.Trace.t ->
+  ?walkers:walkers ->
+  ?shards:int ->
+  ?pool:Rumor_par.Pool.t ->
   spec ->
   Rumor_prob.Rng.t ->
   Rumor_graph.Graph.t ->
   source:int ->
   max_rounds:int ->
   Rumor_protocols.Run_result.t
-(** Dispatch to the matching protocol implementation.  [traffic] is
-    honoured by push, push-pull, pull, visit-exchange and meet-exchange;
-    the remaining processes ignore it.  [obs] is honoured by every
-    protocol: each fires {!Rumor_obs.Instrument} hooks once per round plus
-    one [on_contact] per communication (and [on_walker_move] per agent step
-    for the agent-based processes).
+(** Dispatch to the protocol's kernel.  Push, push-pull, visit-exchange,
+    meet-exchange and combined run on {!Rumor_protocols.Engine} (flat
+    frontier arrays + bitset informed-state; memory O(n + m + rounds
+    run)); the continuous-time specs on {!Rumor_protocols.Async_engine};
+    pull, quasi-push, cobra, frog and flood on their own modules.
+
+    With the default [?shards:1] every kernel reproduces the golden
+    fixture (test/golden_digests.ml).  [shards > 1] re-keys randomness per
+    round ({!Rumor_prob.Rng.split_n}, one child per shard) in the engine
+    kernels and is a pure function of (seed, shards), independent of
+    [?pool]'s parallelism; the other kernels are sequential and ignore
+    [shards]/[pool].  [walkers] (default [Dense]) selects the walker
+    representation for visit-exchange, meet-exchange and
+    async-meet-exchange; the other specs (including combined, which is
+    dense-only) ignore it.
+
+    [traffic] is honoured by push, push-pull, pull, visit-exchange and
+    meet-exchange; the remaining processes ignore it.  [obs] is honoured
+    by every protocol: each fires {!Rumor_obs.Instrument} hooks once per
+    round plus one [on_contact] per communication (and [on_walker_move]
+    per agent step for the agent-based processes).  [trace] wraps the
+    whole run in an ["engine.<name>"] span and threads through to the
+    kernel's per-round instrumentation; it never changes the result.
 
     The continuous-time specs ([Async_push], [Async_push_pull],
     [Async_meet_exchange]) read [max_rounds] as the time horizon
@@ -76,22 +108,6 @@ val run :
     [to_run_result]: [broadcast_time] is the rounded-up continuous time,
     the curve samples the informed count at integer times.  They have no
     round structure, so [obs] fires no [on_round_start] hooks. *)
-
-val engine_capable : spec -> bool
-(** Whether {!run_engine} has a flat kernel for this spec (push,
-    push-pull, visit-exchange, meet-exchange, combined, and the three
-    continuous-time specs via {!Rumor_protocols.Async_engine}). *)
-
-type walkers = Rumor_protocols.Sparse_walkers.mode = Dense | Sparse | Auto
-(** Walker representation for the agent-based engine kernels — see
-    {!Rumor_protocols.Engine}.  [Dense] keeps per-agent positions and the
-    bit-identical-to-legacy contract; [Sparse] switches to count-compressed
-    per-vertex occupancy (seed-deterministic, distributionally equivalent —
-    gated by experiment A10 — but not bit-identical); [Auto] picks sparse
-    above {!Rumor_protocols.Sparse_walkers.auto_threshold} agents. *)
-
-val walkers_name : walkers -> string
-val walkers_of_string : string -> walkers option
 
 val run_engine :
   ?traffic:Rumor_protocols.Traffic.t ->
@@ -106,20 +122,6 @@ val run_engine :
   source:int ->
   max_rounds:int ->
   Rumor_protocols.Run_result.t
-(** Like {!run} but dispatching the four core kernels to
-    {!Rumor_protocols.Engine} (flat frontier arrays + bitset informed-state;
-    memory O(n + m + rounds run)).  With the default [?shards:1] the result
-    is bit-identical to {!run} on the same seed; [shards > 1] re-keys
-    randomness per round ({!Rumor_prob.Rng.split_n}, one child per shard)
-    and is a pure function of (seed, shards), independent of [?pool]'s
-    parallelism.  The continuous-time specs dispatch to
-    {!Rumor_protocols.Async_engine} (calendar queue + batched clocks),
-    which is sequential and bit-identical to {!run} on the same seed for
-    every [shards] value ([shards]/[pool] are ignored).  Specs without an
-    engine kernel fall back to {!run}.
-    [walkers] (default [Dense]) selects the walker representation for
-    visit-exchange, meet-exchange and async-meet-exchange; the other specs
-    (including combined, which is dense-only) ignore it.
-    [trace] wraps the whole run in an ["engine.<name>"] span and threads
-    through to the kernel's per-round instrumentation
-    ({!Rumor_protocols.Engine}); it never changes the result. *)
+(** Alias of {!run}.  It remains only because the benchmark harness
+    (perfbench/call.ml) calls it by this name; it goes with the next
+    change to the benchmark. *)

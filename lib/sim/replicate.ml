@@ -64,8 +64,8 @@ let measure ?(on_capped = `Keep) ?record ?(jobs = 1) ?trace ~seed ~reps f =
   { times; capped = !capped; summary = Stats.summarize times }
 
 let broadcast_times ?on_capped ?sink ?(graph_name = "custom") ?jobs ?trace
-    ?(engine = false) ?walkers ?shards ~seed ~reps ~graph ~spec ~max_rounds ()
-    =
+    ?engine:(_ : bool option) ?walkers ?shards ~seed ~reps ~graph ~spec
+    ~max_rounds () =
   let shard_count = match shards with Some s -> s | None -> 1 in
   (* [graph rng] re-samples per replication inside [f]; each rep writes |V|
      to its own slot, read back by the rep-ordered record pass. *)
@@ -87,23 +87,17 @@ let broadcast_times ?on_capped ?sink ?(graph_name = "custom") ?jobs ?trace
             informed_curve = result.Run_result.informed_curve;
             wall_seconds;
             gc;
-            engine;
-            shards = (if engine then shard_count else 1);
+            shards = shard_count;
           })
       sink
   in
   measure ?on_capped ?record ?jobs ?trace ~seed ~reps (fun ~trace ~rep rng ->
       let g, source = Trace.with_span trace "graph.build" (fun () -> graph rng) in
       vertices.(rep) <- Graph.n g;
-      if engine then
-        (* engine shards run on the default sequential pool here: the rep
-           level already owns the [?jobs] domains, and sharded results are
-           jobs-independent by construction anyway *)
-        Protocol.run_engine ?trace ?walkers ?shards spec rng g ~source
-          ~max_rounds
-      else
-        Trace.with_span trace ("run." ^ Protocol.name spec) (fun () ->
-            Protocol.run spec rng g ~source ~max_rounds))
+      (* shards run on the default sequential pool here: the rep level
+         already owns the [?jobs] domains, and sharded results are
+         jobs-independent by construction anyway *)
+      Protocol.run ?trace ?walkers ?shards spec rng g ~source ~max_rounds)
 
 let mean m = m.summary.Stats.mean
 let median m = m.summary.Stats.median

@@ -93,19 +93,21 @@ val broadcast_times :
 
     [?trace] threads through {!measure}'s per-rep spans and on into the
     graph build (a ["graph.build"] span per replication) and the protocol
-    run (engine per-round instrumentation via {!Protocol.run_engine}, or a
-    single ["run.<protocol>"] span on the legacy path).
+    run (the kernels' per-round instrumentation via {!Protocol.run}).
 
-    [~engine:true] routes each replication through {!Protocol.run_engine}
-    (the flat-frontier kernels) instead of {!Protocol.run}; with the default
-    [?shards] (1) every record is bit-identical to the legacy path, so
-    flipping the flag is a pure performance choice.  [?shards] with
-    [engine] re-keys randomness per round as documented on
-    {!Protocol.run_engine}; the sharded work itself runs sequentially
-    inside each replication (the [?jobs] pool already owns the domains).
-    [?walkers] (engine path only) selects the walker representation for the
-    agent-based kernels; [Sparse]/[Auto]-resolved-sparse runs stay
-    seed-deterministic but are not bit-identical to the dense records. *)
+    Each replication runs through {!Protocol.run}; with the default
+    [?shards] (1) every kernel reproduces the golden fixture.  [?shards]
+    re-keys randomness per round as documented on {!Protocol.run}; the
+    sharded work itself runs sequentially inside each replication (the
+    [?jobs] pool already owns the domains).  [?walkers] selects the walker
+    representation for the agent-based kernels; [Sparse]/[Auto]-resolved-
+    sparse runs stay seed-deterministic but follow a different sample path
+    than the dense records.
+
+    [?engine] is accepted and ignored.  It once chose between two
+    bit-identical implementations; it remains only because the benchmark
+    harness (perfbench/call.ml) still passes it, and goes with the next
+    change to the benchmark. *)
 
 val mean : measurement -> float
 val median : measurement -> float

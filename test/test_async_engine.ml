@@ -1,7 +1,9 @@
-(* Tests for Rumor_protocols.Async_engine: the calendar-queue/batched-clock
-   kernels must be bit-identical to the legacy Async_push /
-   Async_meet_exchange modules on the same seed — results, curves, and the
-   full observation stream — for either queue backend and any batch. *)
+(* Tests for Rumor_protocols.Async_engine: the behaviour of continuous-time
+   push, push-pull and meet-exchange, batch and queue-backend independence,
+   caps, the [?obs] hooks, the sparse meet-exchange path, and argument
+   validation.  Bit-for-bit reproduction
+   of the reference runs — results, curves and the full observation
+   stream, on either queue backend — is pinned by test_golden.ml. *)
 
 module Rng = Rumor_prob.Rng
 module Graph = Rumor_graph.Graph
@@ -23,7 +25,6 @@ let families () =
   ]
 
 let seeds = [ 1; 42; 9001 ]
-let queues = [ ("heap", Async_engine.Heap); ("calendar", Async_engine.Calendar) ]
 
 let check_push_result label (a : P.Async_push.result) (b : P.Async_push.result) =
   Alcotest.(check (option (float 0.0)))
@@ -50,66 +51,84 @@ let check_meet_result label (a : P.Async_meet_exchange.result)
   Alcotest.(check (array int))
     (label ^ ": curve") a.P.Async_meet_exchange.curve b.P.Async_meet_exchange.curve
 
-(* records the exact hook-event sequence, not just counts *)
-let stream_obs () =
-  let events = ref [] in
-  let obs =
-    Instrument.make
-      ~on_contact:(fun u v -> events := (0, u, v, 0) :: !events)
-      ~on_walker_move:(fun ~agent ~from_ ~to_ ->
-        events := (1, agent, from_, to_) :: !events)
-      ()
-  in
-  (obs, events)
+(* ------------------------------------------------- push / push-pull *)
 
-(* ------------------------------------------ push / push-pull bit-identity *)
+let push ?(variant = P.Async_push.Async_push) ?(max_time = 1e6) seed g source =
+  Async_engine.push (Rng.of_int seed) g ~variant ~source ~max_time
 
-let test_push_matches_legacy () =
+let test_push_completes_on_small_graphs () =
   List.iter
-    (fun (name, g) ->
+    (fun (g, s) ->
       List.iter
-        (fun seed ->
-          List.iter
-            (fun variant ->
-              let legacy_obs, legacy_events = stream_obs () in
-              let legacy =
-                P.Async_push.run ~obs:legacy_obs (Rng.of_int seed) g ~variant
-                  ~source:0 ~max_time:1e6
-              in
-              List.iter
-                (fun (qname, queue) ->
-                  let engine_obs, engine_events = stream_obs () in
-                  let engine =
-                    Async_engine.push ~obs:engine_obs ~queue (Rng.of_int seed) g
-                      ~variant ~source:0 ~max_time:1e6
-                  in
-                  let label = Printf.sprintf "%s %s seed=%d" name qname seed in
-                  check_push_result label legacy engine;
-                  Alcotest.(check bool)
-                    (label ^ ": obs stream") true
-                    (!legacy_events = !engine_events))
-                queues)
-            [ P.Async_push.Async_push; P.Async_push.Async_push_pull ])
-        seeds)
-    (families ())
+        (fun variant ->
+          let r = push ~variant 311 g s in
+          Alcotest.(check bool) "completed" true (r.P.Async_push.broadcast_time <> None);
+          Alcotest.(check int) "all informed" (Graph.n g) r.P.Async_push.informed)
+        [ P.Async_push.Async_push; P.Async_push.Async_push_pull ])
+    [ (Gen.complete 16, 0); (Gen.cycle 10, 0); (Gen.star ~leaves:12, 3) ]
 
-let test_push_capped_matches_legacy () =
-  (* a short horizon exercises the cap path and its curve padding *)
-  let g = Gen.path 12 in
+let test_push_k2 () =
+  match (push 312 (Gen.complete 2) 0).P.Async_push.broadcast_time with
+  | None -> Alcotest.fail "did not complete"
+  | Some t -> Alcotest.(check bool) "positive continuous time" true (t > 0.0)
+
+let test_push_time_cap () =
+  let r = push ~max_time:0.5 313 (Gen.path 200) 0 in
+  Alcotest.(check bool) "capped" true (Option.is_none r.P.Async_push.broadcast_time);
+  Alcotest.(check bool) "partial progress recorded" true (r.P.Async_push.informed >= 1)
+
+let test_push_rings_counted () =
+  Alcotest.(check bool) "rings positive" true
+    ((push 314 (Gen.complete 8) 0).P.Async_push.rings > 0)
+
+let test_push_deterministic_by_seed () =
+  let g = Gen.torus ~rows:5 ~cols:5 in
+  check_push_result "seed 315" (push 315 g 0) (push 315 g 0)
+
+let mean_time variant g seeds =
+  let total = ref 0.0 in
   List.iter
-    (fun seed ->
-      let legacy =
-        P.Async_push.run (Rng.of_int seed) g ~variant:P.Async_push.Async_push
-          ~source:0 ~max_time:2.5
-      in
-      let engine =
-        Async_engine.push (Rng.of_int seed) g ~variant:P.Async_push.Async_push
-          ~source:0 ~max_time:2.5
-      in
-      check_push_result (Printf.sprintf "capped seed=%d" seed) legacy engine;
-      Alcotest.(check bool) "capped run" true
-        (Option.is_none engine.P.Async_push.broadcast_time))
-    seeds
+    (fun s ->
+      match (push ~variant s g 0).P.Async_push.broadcast_time with
+      | Some t -> total := !total +. t
+      | None -> Alcotest.fail "run capped unexpectedly")
+    seeds;
+  !total /. float_of_int (List.length seeds)
+
+let test_async_sync_push_equivalence_on_regular () =
+  (* Sauerwald [41]: on regular graphs asynchronous push matches synchronous
+     push asymptotically.  Compare means over seeds; allow a factor 2. *)
+  let rng = Rng.of_int 318 in
+  let g = Gen_random.random_regular_connected rng ~n:512 ~d:9 in
+  let seeds = List.init 10 (fun i -> 3180 + i) in
+  let async_mean = mean_time P.Async_push.Async_push g seeds in
+  let sync_mean =
+    let total =
+      List.fold_left
+        (fun acc s ->
+          acc
+          + P.Run_result.time_exn
+              (P.Engine.push (Rng.of_int s) g ~source:0 ~max_rounds:100_000 ()))
+        0 seeds
+    in
+    float_of_int total /. float_of_int (List.length seeds)
+  in
+  let ratio = async_mean /. sync_mean in
+  Alcotest.(check bool)
+    (Printf.sprintf "async %.1f vs sync %.1f (ratio %.2f) within 2x" async_mean
+       sync_mean ratio)
+    true
+    (ratio > 0.5 && ratio < 2.0)
+
+let test_push_pull_faster_than_push_on_star () =
+  (* the pull half dominates on the star in the async model too *)
+  let g = Gen.star ~leaves:128 in
+  let seeds = List.init 5 (fun i -> 3190 + i) in
+  let pp = mean_time P.Async_push.Async_push_pull g seeds in
+  let p = mean_time P.Async_push.Async_push g seeds in
+  Alcotest.(check bool)
+    (Printf.sprintf "async push-pull %.1f << async push %.1f" pp p)
+    true (pp *. 10.0 < p)
 
 let test_push_batch_independent () =
   let g = Gen_random.erdos_renyi (Rng.of_int 5) ~n:48 ~p:0.2 in
@@ -123,62 +142,84 @@ let test_push_batch_independent () =
       check_push_result (Printf.sprintf "batch=%d" batch) reference (run batch))
     [ 1; 7; 65536 ]
 
-(* ------------------------------------------------ meet-exchange identity *)
+(* ------------------------------------------------------- meet-exchange *)
 
-let agent_specs = [ Placement.Stationary 12; Placement.One_per_vertex ]
+let meet ?(agents = Placement.Linear 1.0) ?(max_time = 1e6) seed g source =
+  Async_engine.meet_exchange (Rng.of_int seed) g ~source ~agents ~max_time
 
-let test_meet_exchange_matches_legacy () =
+let test_meet_completes_on_small_graphs () =
   List.iter
-    (fun (name, g) ->
-      List.iter
-        (fun seed ->
-          List.iter
-            (fun agents ->
-              (* omitted lazy_walk exercises the bipartite auto-default in
-                 both implementations *)
-              let legacy_obs, legacy_events = stream_obs () in
-              let legacy =
-                P.Async_meet_exchange.run ~obs:legacy_obs (Rng.of_int seed) g
-                  ~source:0 ~agents ~max_time:20_000.0
-              in
-              List.iter
-                (fun (qname, queue) ->
-                  let engine_obs, engine_events = stream_obs () in
-                  let engine =
-                    Async_engine.meet_exchange ~obs:engine_obs ~queue
-                      (Rng.of_int seed) g ~source:0 ~agents ~max_time:20_000.0
-                  in
-                  let label = Printf.sprintf "me %s %s seed=%d" name qname seed in
-                  check_meet_result label legacy engine;
-                  Alcotest.(check bool)
-                    (label ^ ": obs stream") true
-                    (!legacy_events = !engine_events))
-                queues)
-            agent_specs)
-        seeds)
-    (families ())
+    (fun (g, s) ->
+      let r = meet 481 g s in
+      Alcotest.(check bool) "completed" true
+        (r.P.Async_meet_exchange.broadcast_time <> None);
+      Alcotest.(check int) "all informed" r.P.Async_meet_exchange.agents
+        r.P.Async_meet_exchange.informed)
+    [ (Gen.complete 16, 0); (Gen.cycle 9, 2); (Gen.torus ~rows:4 ~cols:4, 0) ]
 
-let test_meet_exchange_lazy_override_matches () =
-  (* K2 with lazy off is the parity-trap family the async model resolves;
-     lazy on exercises the stay coin on the shared rng *)
+let test_meet_no_parity_trap_on_k2 () =
+  (* two agents, one per vertex of K2: the synchronous non-lazy process
+     never finishes (they swap in lockstep); continuous time breaks the
+     symmetry and they meet in O(1) expected time *)
   let g = Gen.complete 2 in
-  List.iter
-    (fun lazy_walk ->
-      List.iter
-        (fun seed ->
-          let legacy =
-            P.Async_meet_exchange.run ~lazy_walk (Rng.of_int seed) g ~source:0
-              ~agents:Placement.One_per_vertex ~max_time:20_000.0
-          in
-          let engine =
-            Async_engine.meet_exchange ~lazy_walk (Rng.of_int seed) g ~source:0
-              ~agents:Placement.One_per_vertex ~max_time:20_000.0
-          in
-          check_meet_result
-            (Printf.sprintf "K2 lazy=%b seed=%d" lazy_walk seed)
-            legacy engine)
-        seeds)
-    [ false; true ]
+  for seed = 0 to 9 do
+    match (meet ~agents:Placement.One_per_vertex (4820 + seed) g 0)
+            .P.Async_meet_exchange.broadcast_time
+    with
+    | None -> Alcotest.fail "continuous meetx stalled on K2"
+    | Some t -> Alcotest.(check bool) "fast" true (t < 100.0)
+  done
+
+let test_meet_no_parity_trap_on_star () =
+  let r = meet 483 (Gen.star ~leaves:16) 0 in
+  Alcotest.(check bool) "completes without laziness" true
+    (r.P.Async_meet_exchange.broadcast_time <> None)
+
+let test_meet_agents_on_source_start_informed () =
+  let r = meet ~agents:(Placement.All_at (0, 5)) 484 (Gen.complete 8) 0 in
+  (match r.P.Async_meet_exchange.broadcast_time with
+  | Some t -> Alcotest.(check (float 1e-9)) "instant broadcast" 0.0 t
+  | None -> Alcotest.fail "did not complete");
+  Alcotest.(check int) "all five informed" 5 r.P.Async_meet_exchange.informed
+
+let test_meet_time_cap () =
+  let r = meet ~agents:(Placement.Stationary 2) ~max_time:0.5 485 (Gen.path 100) 0 in
+  Alcotest.(check bool) "capped" true
+    (Option.is_none r.P.Async_meet_exchange.broadcast_time)
+
+let test_meet_deterministic_by_seed () =
+  let g = Gen.complete 12 in
+  check_meet_result "seed 486" (meet 486 g 0) (meet 486 g 0)
+
+let test_meet_comparable_to_discrete_on_clique () =
+  (* on a non-bipartite dense graph the continuous and (non-lazy) discrete
+     processes should take similar times *)
+  let g = Gen.complete 64 in
+  let mean_cont =
+    let total = ref 0.0 in
+    for seed = 0 to 9 do
+      match (meet (4870 + seed) g 0).P.Async_meet_exchange.broadcast_time with
+      | Some t -> total := !total +. t
+      | None -> Alcotest.fail "capped"
+    done;
+    !total /. 10.0
+  in
+  let mean_disc =
+    let total = ref 0 in
+    for seed = 0 to 9 do
+      let r =
+        P.Engine.meet_exchange ~lazy_walk:false (Rng.of_int (4880 + seed)) g ~source:0
+          ~agents:(Placement.Linear 1.0) ~max_rounds:100_000 ()
+      in
+      total := !total + P.Run_result.time_exn r
+    done;
+    float_of_int !total /. 10.0
+  in
+  let ratio = mean_cont /. mean_disc in
+  Alcotest.(check bool)
+    (Printf.sprintf "continuous %.1f vs discrete %.1f within 3x" mean_cont mean_disc)
+    true
+    (ratio > 0.33 && ratio < 3.0)
 
 let test_meet_exchange_batch_independent () =
   let g = Gen.torus ~rows:5 ~cols:5 in
@@ -191,6 +232,187 @@ let test_meet_exchange_batch_independent () =
     (fun batch ->
       check_meet_result (Printf.sprintf "me batch=%d" batch) reference (run batch))
     [ 1; 7; 65536 ]
+
+(* ------------------------------------------- queues, caps and hooks *)
+
+let queues = [ ("heap", Async_engine.Heap); ("calendar", Async_engine.Calendar) ]
+let variants = [ P.Async_push.Async_push; P.Async_push.Async_push_pull ]
+let agent_specs = [ Placement.Stationary 12; Placement.One_per_vertex ]
+
+(* records the exact hook-event sequence, not just counts *)
+let stream_obs () =
+  let events = ref [] in
+  let obs =
+    Instrument.make
+      ~on_contact:(fun u v -> events := (0, u, v, 0) :: !events)
+      ~on_walker_move:(fun ~agent ~from_ ~to_ ->
+        events := (1, agent, from_, to_) :: !events)
+      ()
+  in
+  (obs, events)
+
+let test_push_queues_agree () =
+  (* both backends drain in (time, insertion order): the queue is invisible *)
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun variant ->
+              let run queue =
+                let obs, events = stream_obs () in
+                let r =
+                  Async_engine.push ~obs ~queue (Rng.of_int seed) g ~variant ~source:0
+                    ~max_time:1e6
+                in
+                (r, List.rev !events)
+              in
+              let heap, heap_events = run Async_engine.Heap in
+              let cal, cal_events = run Async_engine.Calendar in
+              let label = Printf.sprintf "%s seed=%d" name seed in
+              check_push_result label heap cal;
+              Alcotest.(check bool)
+                (label ^ ": obs stream") true (heap_events = cal_events))
+            variants)
+        seeds)
+    (families ())
+
+let test_meet_queues_agree () =
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun agents ->
+              let run queue =
+                let obs, events = stream_obs () in
+                let r =
+                  Async_engine.meet_exchange ~obs ~queue (Rng.of_int seed) g ~source:0
+                    ~agents ~max_time:20_000.0
+                in
+                (r, List.rev !events)
+              in
+              let heap, heap_events = run Async_engine.Heap in
+              let cal, cal_events = run Async_engine.Calendar in
+              let label = Printf.sprintf "me %s seed=%d" name seed in
+              check_meet_result label heap cal;
+              Alcotest.(check bool)
+                (label ^ ": obs stream") true (heap_events = cal_events))
+            agent_specs)
+        seeds)
+    (families ())
+
+let test_capped_push_is_a_prefix () =
+  (* the cap only stops the clock: up to it, a capped run is the uncapped
+     run, and its curve ends at the last integer mark <= max_time *)
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun (qname, queue) ->
+              let run max_time =
+                Async_engine.push ~queue (Rng.of_int seed) g
+                  ~variant:P.Async_push.Async_push ~source:0 ~max_time
+              in
+              let full = run 1e6 and capped = run 2.5 in
+              let label = Printf.sprintf "%s %s seed=%d" name qname seed in
+              match full.P.Async_push.broadcast_time with
+              | Some t when t <= 2.5 ->
+                  check_push_result (label ^ ": finished early") full capped
+              | _ ->
+                  Alcotest.(check (option (float 0.0))) (label ^ ": capped") None
+                    capped.P.Async_push.broadcast_time;
+                  Alcotest.(check (array int)) (label ^ ": curve prefix")
+                    (Array.sub full.P.Async_push.curve 0 3) capped.P.Async_push.curve;
+                  Alcotest.(check bool) (label ^ ": fewer rings") true
+                    (capped.P.Async_push.rings <= full.P.Async_push.rings);
+                  Alcotest.(check bool) (label ^ ": informed between marks 2 and 3") true
+                    (capped.P.Async_push.informed >= capped.P.Async_push.curve.(2)
+                    && capped.P.Async_push.informed <= full.P.Async_push.curve.(3)))
+            queues)
+        seeds)
+    [ ("path12", Gen.path 12); ("torus6x6", Gen.torus ~rows:6 ~cols:6) ]
+
+let test_meet_omitted_lazy_is_bipartiteness () =
+  List.iter
+    (fun (name, g, bipartite) ->
+      List.iter
+        (fun seed ->
+          let me ?lazy_walk () =
+            Async_engine.meet_exchange ?lazy_walk (Rng.of_int seed) g ~source:0
+              ~agents:Placement.One_per_vertex ~max_time:20_000.0
+          in
+          check_meet_result
+            (Printf.sprintf "%s seed=%d omitted lazy_walk" name seed)
+            (me ~lazy_walk:bipartite ()) (me ()))
+        seeds)
+    [
+      ("K2", Gen.complete 2, true);
+      ("star9", Gen.star ~leaves:9, true);
+      ("complete16", Gen.complete 16, false);
+      ("cycle9", Gen.cycle 9, false);
+    ]
+
+let test_obs_does_not_perturb_runs () =
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun variant ->
+          let run ?obs () =
+            Async_engine.push ?obs (Rng.of_int 24) g ~variant ~source:0 ~max_time:1e6
+          in
+          let obs, _ = stream_obs () in
+          check_push_result (name ^ " observed") (run ()) (run ~obs ()))
+        variants;
+      let run ?obs () =
+        Async_engine.meet_exchange ?obs (Rng.of_int 24) g ~source:0
+          ~agents:(Placement.Stationary 12) ~max_time:20_000.0
+      in
+      let obs, _ = stream_obs () in
+      check_meet_result (name ^ " me observed") (run ()) (run ~obs ()))
+    (families ())
+
+let test_hooks_agree_with_the_result () =
+  (* push fires one contact per ring, along an edge; meet-exchange one walker
+     move per ring (an edge step, or a stay when lazy) and one contact per
+     informed agent *)
+  List.iter
+    (fun (name, g) ->
+      let step_ok ~lazy_walk u v = (lazy_walk && u = v) || Graph.mem_edge g u v in
+      List.iter
+        (fun variant ->
+          let obs, events = stream_obs () in
+          let r =
+            Async_engine.push ~obs (Rng.of_int 25) g ~variant ~source:0 ~max_time:1e6
+          in
+          Alcotest.(check int) (name ^ ": one contact per ring") r.P.Async_push.rings
+            (List.length !events);
+          List.iter
+            (fun (_, u, v, _) ->
+              if not (step_ok ~lazy_walk:false u v) then
+                Alcotest.failf "%s: contact %d -> %d is not an edge" name u v)
+            !events)
+        variants;
+      let lazy_walk = Rumor_graph.Algo.is_bipartite g in
+      let obs, events = stream_obs () in
+      let r =
+        Async_engine.meet_exchange ~obs ~lazy_walk (Rng.of_int 25) g ~source:0
+          ~agents:(Placement.Stationary 12) ~max_time:20_000.0
+      in
+      let moves = List.filter (fun (kind, _, _, _) -> kind = 1) !events in
+      Alcotest.(check int)
+        (name ^ ": one walker move per ring") r.P.Async_meet_exchange.rings
+        (List.length moves);
+      Alcotest.(check int) (name ^ ": one contact per informed agent")
+        r.P.Async_meet_exchange.informed
+        (List.length !events - List.length moves);
+      List.iter
+        (fun (_, _, u, v) ->
+          if not (step_ok ~lazy_walk u v) then
+            Alcotest.failf "%s: walker step %d -> %d is not a walk step" name u v)
+        moves)
+    (families ())
 
 (* ------------------------------------------------- run_result projection *)
 
@@ -257,6 +479,10 @@ let test_validation () =
     (bad (fun () ->
          Async_engine.meet_exchange (Rng.of_int 1) g ~source:(-1)
            ~agents:Placement.One_per_vertex ~max_time:10.0));
+  Alcotest.(check bool) "meet bad max_time" true
+    (bad (fun () ->
+         Async_engine.meet_exchange (Rng.of_int 1) g ~source:0
+           ~agents:Placement.One_per_vertex ~max_time:0.0));
   Alcotest.(check bool) "meet bad batch" true
     (bad (fun () ->
          Async_engine.meet_exchange ~batch:(-3) (Rng.of_int 1) g ~source:0
@@ -292,19 +518,47 @@ let test_meet_exchange_sparse () =
 
 let suite =
   [
-    Alcotest.test_case "push/push-pull match legacy (queues, obs)" `Quick
-      test_push_matches_legacy;
-    Alcotest.test_case "capped push matches legacy" `Quick
-      test_push_capped_matches_legacy;
+    Alcotest.test_case "push: completes on small graphs" `Quick
+      test_push_completes_on_small_graphs;
+    Alcotest.test_case "push: K2" `Quick test_push_k2;
+    Alcotest.test_case "push: time cap" `Quick test_push_time_cap;
+    Alcotest.test_case "push: rings counted" `Quick test_push_rings_counted;
+    Alcotest.test_case "push: deterministic by seed" `Quick
+      test_push_deterministic_by_seed;
+    Alcotest.test_case "push: async ~ sync on regular graphs" `Quick
+      test_async_sync_push_equivalence_on_regular;
+    Alcotest.test_case "push-pull beats push on the star" `Quick
+      test_push_pull_faster_than_push_on_star;
     Alcotest.test_case "push is batch-independent" `Quick test_push_batch_independent;
-    Alcotest.test_case "meet-exchange matches legacy (queues, obs)" `Quick
-      test_meet_exchange_matches_legacy;
-    Alcotest.test_case "meet-exchange lazy override matches" `Quick
-      test_meet_exchange_lazy_override_matches;
+    Alcotest.test_case "meet-exchange: completes on small graphs" `Quick
+      test_meet_completes_on_small_graphs;
+    Alcotest.test_case "meet-exchange: no parity trap on K2" `Quick
+      test_meet_no_parity_trap_on_k2;
+    Alcotest.test_case "meet-exchange: no parity trap on the star" `Quick
+      test_meet_no_parity_trap_on_star;
+    Alcotest.test_case "meet-exchange: agents on source start informed" `Quick
+      test_meet_agents_on_source_start_informed;
+    Alcotest.test_case "meet-exchange: time cap" `Quick test_meet_time_cap;
+    Alcotest.test_case "meet-exchange: deterministic by seed" `Quick
+      test_meet_deterministic_by_seed;
+    Alcotest.test_case "meet-exchange: comparable to discrete on the clique" `Quick
+      test_meet_comparable_to_discrete_on_clique;
     Alcotest.test_case "meet-exchange is batch-independent" `Quick
       test_meet_exchange_batch_independent;
     Alcotest.test_case "sparse meet-exchange completes deterministically" `Quick
       test_meet_exchange_sparse;
+    Alcotest.test_case "push/push-pull: heap and calendar agree" `Quick
+      test_push_queues_agree;
+    Alcotest.test_case "meet-exchange: heap and calendar agree" `Quick
+      test_meet_queues_agree;
+    Alcotest.test_case "capped push is a prefix of the uncapped run" `Quick
+      test_capped_push_is_a_prefix;
+    Alcotest.test_case "meet-exchange: omitted lazy_walk is bipartiteness" `Quick
+      test_meet_omitted_lazy_is_bipartiteness;
+    Alcotest.test_case "observing does not perturb runs" `Quick
+      test_obs_does_not_perturb_runs;
+    Alcotest.test_case "hooks agree with the result" `Quick
+      test_hooks_agree_with_the_result;
     Alcotest.test_case "to_run_result projection" `Quick test_to_run_result;
     Alcotest.test_case "calendar stats out-parameter" `Quick test_queue_stats_out;
     Alcotest.test_case "validation" `Quick test_validation;

@@ -45,7 +45,7 @@ let test_flat_curve () =
 let test_on_real_run () =
   let g = Gen.complete 64 in
   let r =
-    Rumor_protocols.Push.run (Rng.of_int 601) g ~source:0 ~max_rounds:10_000 ()
+    Rumor_protocols.Engine.push (Rng.of_int 601) g ~source:0 ~max_rounds:10_000 ()
   in
   let half = Curve_stats.half_time r in
   let full = Curve_stats.time_to_fraction r 1.0 in

@@ -60,7 +60,7 @@ let test_slower_than_visitx_on_cycle () =
     let total = ref 0 in
     for seed = 0 to 9 do
       let r =
-        Rumor_protocols.Visit_exchange.run (Rng.of_int (4360 + seed)) g ~source:0
+        Rumor_protocols.Engine.visit_exchange (Rng.of_int (4360 + seed)) g ~source:0
           ~agents:Rumor_agents.Placement.One_per_vertex ~max_rounds:1_000_000 ()
       in
       total := !total + Run_result.time_exn r

@@ -101,14 +101,23 @@ let test_cli_bad_spec_exit_code () =
     (* dune declares the exe as a test dep; guard anyway for odd setups *)
     Alcotest.skip ()
   else
-    let run spec =
+    let exit_code args =
       Sys.command
-        (Filename.quote_command run_exe
-           [ "-g"; spec; "-p"; "push"; "--reps"; "1" ]
-           ~stdout:Filename.null ~stderr:Filename.null)
+        (Filename.quote_command run_exe args ~stdout:Filename.null
+           ~stderr:Filename.null)
     in
+    let run spec = exit_code [ "-g"; spec; "-p"; "push"; "--reps"; "1" ] in
     Alcotest.(check int) "valid spec runs" 0 (run "star:5");
-    Alcotest.(check int) "star:0 is a usage error, not an internal one" 124 (run "star:0")
+    Alcotest.(check int) "star:0 is a usage error, not an internal one" 124 (run "star:0");
+    (* sharded sparse walkers need no extra switch *)
+    Alcotest.(check int) "--shards 2 --walkers sparse runs" 0
+      (exit_code
+         [
+           "-g"; "torus:4x4"; "-p"; "visit-exchange"; "--reps"; "1"; "--shards"; "2";
+           "--walkers"; "sparse";
+         ]);
+    Alcotest.(check int) "--engine is an unknown option" 124
+      (exit_code [ "-g"; "star:5"; "-p"; "push"; "--reps"; "1"; "--engine" ])
 
 let test_random_spec_uses_rng () =
   let spec = Graph_spec.parse_exn "random-regular:30,3" in
@@ -127,7 +136,7 @@ let suite =
     Alcotest.test_case "is_random" `Quick test_is_random;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "boundary specs parse" `Quick test_valid_edge_specs_parse;
-    Alcotest.test_case "rumor_run exits 124 on a bad spec" `Quick
+    Alcotest.test_case "rumor_run exit codes" `Quick
       test_cli_bad_spec_exit_code;
     Alcotest.test_case "random specs use the rng" `Quick test_random_spec_uses_rng;
   ]

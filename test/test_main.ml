@@ -22,18 +22,11 @@ let () =
       ("agents.walkers", Test_walkers.suite);
       ("protocols.run_result", Test_run_result.suite);
       ("protocols.traffic", Test_traffic.suite);
-      ("protocols.push", Test_push.suite);
-      ("protocols.push_pull", Test_push_pull.suite);
       ("protocols.pull", Test_pull.suite);
-      ("protocols.visit_exchange", Test_visit_exchange.suite);
-      ("protocols.meet_exchange", Test_meet_exchange.suite);
-      ("protocols.combined", Test_combined.suite);
       ("protocols.flood", Test_flood.suite);
       ("protocols.coupling", Test_coupling.suite);
       ("des.event_queue", Test_event_queue.suite);
       ("des.calendar_queue", Test_calendar_queue.suite);
-      ("protocols.async_push", Test_async_push.suite);
-      ("protocols.async_meet_exchange", Test_async_meet_exchange.suite);
       ("protocols.dynamic_visit_exchange", Test_dynamic_visit_exchange.suite);
       ("protocols.quasi_push", Test_quasi_push.suite);
       ("protocols.cobra", Test_cobra.suite);
@@ -43,6 +36,7 @@ let () =
       ("protocols.sparse_walkers", Test_sparse_walkers.suite);
       ("protocols.engine", Test_engine.suite);
       ("protocols.async_engine", Test_async_engine.suite);
+      ("protocols.golden", Test_golden.suite);
       ("sim.protocol", Test_protocol.suite);
       ("sim.graph_spec", Test_graph_spec.suite);
       ("par.pool", Test_par.suite);

@@ -89,7 +89,7 @@ let test_matches_visit_exchange_time () =
     let total = ref 0 in
     for seed = 0 to 9 do
       let r =
-        Rumor_protocols.Visit_exchange.run (Rng.of_int (4600 + seed)) g ~source:0
+        Rumor_protocols.Engine.visit_exchange (Rng.of_int (4600 + seed)) g ~source:0
           ~agents:(Placement.Linear 1.0) ~max_rounds:100_000 ()
       in
       total := !total + Rumor_protocols.Run_result.time_exn r

@@ -25,31 +25,13 @@ let test_names () =
   Alcotest.(check string) "async-meetx" "async-meet-exchange"
     (Protocol.name (Protocol.async_meet_exchange ()))
 
-let test_engine_capable () =
-  List.iter
-    (fun (spec, expected) ->
-      Alcotest.(check bool) (Protocol.name spec) expected
-        (Protocol.engine_capable spec))
-    [
-      (Protocol.push, true);
-      (Protocol.push_pull, true);
-      (Protocol.visit_exchange (), true);
-      (Protocol.meet_exchange (), true);
-      (Protocol.async_push, true);
-      (Protocol.async_push_pull, true);
-      (Protocol.async_meet_exchange (), true);
-      (Protocol.combined (), true);
-      (Protocol.pull, false);
-      (Protocol.flood, false);
-    ]
-
 let test_dispatch_matches_direct_push () =
   let g = Gen.torus ~rows:5 ~cols:5 in
   let via_dispatch =
     Protocol.run Protocol.push (Rng.of_int 201) g ~source:0 ~max_rounds:10_000
   in
   let direct =
-    Rumor_protocols.Push.run (Rng.of_int 201) g ~source:0 ~max_rounds:10_000 ()
+    Rumor_protocols.Engine.push (Rng.of_int 201) g ~source:0 ~max_rounds:10_000 ()
   in
   Alcotest.(check (option int)) "same result" direct.Run_result.broadcast_time
     via_dispatch.Run_result.broadcast_time
@@ -76,30 +58,46 @@ let test_all_protocols_complete () =
       Protocol.async_meet_exchange ();
     ]
 
-(* the async specs must agree between run (legacy modules) and run_engine
-   (Async_engine DES) on the same seed — the sim-layer face of the
-   bit-identity that test_async_engine.ml pins at the protocol layer *)
+(* the async specs dispatch to Async_engine with [max_rounds] as the time
+   horizon, projected through [to_run_result]; [run_engine] is [run] *)
 let test_async_dispatch_matches_engine () =
+  let module P = Rumor_protocols in
   let g = Gen.torus ~rows:5 ~cols:5 in
   List.iter
-    (fun spec ->
+    (fun (spec, direct) ->
       let a = Protocol.run spec (Rng.of_int 205) g ~source:0 ~max_rounds:10_000 in
-      let b =
+      let b = direct (Rng.of_int 205) in
+      let c =
         Protocol.run_engine spec (Rng.of_int 205) g ~source:0 ~max_rounds:10_000
       in
       let label = Protocol.name spec in
-      Alcotest.(check (option int))
-        (label ^ ": broadcast_time") a.Run_result.broadcast_time
-        b.Run_result.broadcast_time;
-      Alcotest.(check (array int))
-        (label ^ ": curve") a.Run_result.informed_curve
-        b.Run_result.informed_curve;
-      Alcotest.(check int) (label ^ ": contacts") a.Run_result.contacts
-        b.Run_result.contacts)
+      List.iter
+        (fun (what, (x : Run_result.t)) ->
+          Alcotest.(check (option int))
+            (label ^ what ^ ": broadcast_time") x.Run_result.broadcast_time
+            a.Run_result.broadcast_time;
+          Alcotest.(check (array int))
+            (label ^ what ^ ": curve") x.Run_result.informed_curve
+            a.Run_result.informed_curve;
+          Alcotest.(check int) (label ^ what ^ ": contacts") x.Run_result.contacts
+            a.Run_result.contacts)
+        [ (" direct", b); (" run_engine", c) ])
     [
-      Protocol.async_push;
-      Protocol.async_push_pull;
-      Protocol.async_meet_exchange ();
+      ( Protocol.async_push,
+        fun rng ->
+          P.Async_push.to_run_result
+            (P.Async_engine.push rng g ~variant:P.Async_push.Async_push ~source:0
+               ~max_time:10_000.0) );
+      ( Protocol.async_push_pull,
+        fun rng ->
+          P.Async_push.to_run_result
+            (P.Async_engine.push rng g ~variant:P.Async_push.Async_push_pull
+               ~source:0 ~max_time:10_000.0) );
+      ( Protocol.async_meet_exchange (),
+        fun rng ->
+          P.Async_meet_exchange.to_run_result
+            (P.Async_engine.meet_exchange rng g ~source:0
+               ~agents:(Placement.Linear 1.0) ~max_time:10_000.0) );
     ]
 
 let test_lazy_auto_on_bipartite () =
@@ -140,7 +138,6 @@ let test_alpha_scales_agent_count () =
 let suite =
   [
     Alcotest.test_case "names" `Quick test_names;
-    Alcotest.test_case "engine capability" `Quick test_engine_capable;
     Alcotest.test_case "dispatch matches direct call" `Quick test_dispatch_matches_direct_push;
     Alcotest.test_case "async dispatch matches engine" `Quick
       test_async_dispatch_matches_engine;

@@ -6,7 +6,7 @@ module Replicate = Rumor_sim.Replicate
 module Protocol = Rumor_sim.Protocol
 
 let push_on_clique ~trace:_ ~rep:_ rng =
-  Rumor_protocols.Push.run rng (Gen.complete 32) ~source:0 ~max_rounds:10_000 ()
+  Rumor_protocols.Engine.push rng (Gen.complete 32) ~source:0 ~max_rounds:10_000 ()
 
 let test_rep_count () =
   let m = Replicate.measure ~seed:211 ~reps:7 push_on_clique in
@@ -35,7 +35,7 @@ let test_replications_vary () =
 
 let test_capped_counted () =
   let f ~trace:_ ~rep:_ rng =
-    Rumor_protocols.Push.run rng (Gen.path 50) ~source:0 ~max_rounds:2 ()
+    Rumor_protocols.Engine.push rng (Gen.path 50) ~source:0 ~max_rounds:2 ()
   in
   let m = Replicate.measure ~seed:216 ~reps:4 f in
   Alcotest.(check int) "all capped" 4 m.Replicate.capped;
@@ -72,20 +72,16 @@ let test_graph_resampled_per_replication () =
   Alcotest.(check (array (float 1e-9))) "reproducible with random graphs"
     m1.Replicate.times m2.Replicate.times
 
-(* The engine path must be invisible in every observable: identical
+(* [?engine] is accepted and ignored: both values give identical
    measurements AND an identical sink stream (records carry the informed
-   curve, so this also pins per-round dynamics), up to per-rep timing and
-   the engine/shards provenance fields, which are the one deliberate
-   difference and are pinned separately below. *)
-let test_engine_sink_stream_identical () =
+   curve, so this also pins per-round dynamics), up to per-rep timing. *)
+let test_engine_label_ignored () =
   let detimed (r : Rumor_obs.Run_record.t) =
     Rumor_obs.Run_record.to_json
       {
         r with
         Rumor_obs.Run_record.wall_seconds = 0.0;
         gc = { minor_words = 0.0; major_words = 0.0; promoted_words = 0.0 };
-        engine = false;
-        shards = 1;
       }
   in
   let graph rng =
@@ -101,35 +97,21 @@ let test_engine_sink_stream_identical () =
             ~graph_name:"rr:48,4" ~engine ~seed:220 ~reps:4 ~graph ~spec
             ~max_rounds:100_000 ()
         in
-        let raw = List.rev !records in
-        (m, List.map detimed raw, raw)
+        (m, List.rev_map detimed !records)
       in
-      let legacy, legacy_records, legacy_raw = run ~engine:false in
-      let engine, engine_records, engine_raw = run ~engine:true in
-      List.iter
-        (fun (r : Rumor_obs.Run_record.t) ->
-          Alcotest.(check bool)
-            (Protocol.name spec ^ ": legacy records say engine=false")
-            false r.Rumor_obs.Run_record.engine)
-        legacy_raw;
-      List.iter
-        (fun (r : Rumor_obs.Run_record.t) ->
-          Alcotest.(check bool)
-            (Protocol.name spec ^ ": engine records say engine=true")
-            true r.Rumor_obs.Run_record.engine)
-        engine_raw;
+      let off, off_records = run ~engine:false in
+      let on, on_records = run ~engine:true in
       Alcotest.(check (array (float 0.0)))
         (Protocol.name spec ^ ": times identical")
-        legacy.Replicate.times engine.Replicate.times;
+        off.Replicate.times on.Replicate.times;
       Alcotest.(check (list string))
         (Protocol.name spec ^ ": sink stream identical (sans timing)")
-        legacy_records engine_records)
+        off_records on_records)
     [
       Protocol.push;
       Protocol.push_pull;
       Protocol.visit_exchange ();
       Protocol.meet_exchange ();
-      (* not engine-capable: must silently fall back to the legacy path *)
       Protocol.pull;
     ]
 
@@ -144,6 +126,6 @@ let suite =
     Alcotest.test_case "broadcast_times wrapper" `Quick test_broadcast_times_wrapper;
     Alcotest.test_case "random graphs reproducible" `Quick
       test_graph_resampled_per_replication;
-    Alcotest.test_case "engine path: identical sink stream" `Quick
-      test_engine_sink_stream_identical;
+    Alcotest.test_case "ignored ?engine: identical sink stream" `Quick
+      test_engine_label_ignored;
   ]
