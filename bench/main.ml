@@ -551,8 +551,8 @@ let run_walkers_bench ?trace ~scale ~demo_scale ~async_scale () =
       :: entries
     end
   in
-  (* async meet-exchange at 10^6: the aggregate rate-k clock + Fenwick ring
-     sampler replaces the per-agent event queue entirely *)
+  (* async meet-exchange at 10^6: the aggregate rate-k clock + O(1)
+     walker-slot ring sampler replaces the per-agent event queue entirely *)
   let async =
     if async_scale <= 0 then []
     else begin
@@ -778,7 +778,7 @@ let walkers_async_scale_arg =
     & info [ "walkers-async-scale" ] ~docv:"N"
         ~doc:
           "Also run sparse async-meet-exchange (aggregate rate-k clock + \
-           Fenwick ring sampler) end to end at this vertex count with \
+           walker-slot ring sampler) end to end at this vertex count with \
            alpha = 1 (e.g. 1000000); 0 (default) skips it.")
 
 let shards_arg =

@@ -245,8 +245,8 @@ let shards_arg =
   let doc =
     "Draw each round's randomness from $(docv) per-round generator splits \
      (push, push-pull, visit-exchange, meet-exchange, combined; the other \
-     protocols ignore it).  Results depend only on (seed, shards), never \
-     on --jobs."
+     protocols and sparse walkers ignore it, and their --metrics records \
+     read 1).  Results depend only on (seed, shards), never on --jobs."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 

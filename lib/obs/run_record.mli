@@ -24,7 +24,7 @@
       "gc": { "minor_words": float,
               "major_words": float,
               "promoted_words": float },
-      "shards": int }         // engine randomness shards (absent = 1)
+      "shards": int }         // shards the kernel used (absent = 1)
     v}
 
     The [shards] field was added after the first release; the reader
@@ -54,7 +54,9 @@ type t = {
   informed_curve : int array;
   wall_seconds : float;
   gc : gc_counters;
-  shards : int;  (** per-round randomness shards (1 = sequential) *)
+  shards : int;
+      (** per-round randomness shards the kernel used (1 = sequential,
+          also for kernels that ignore a requested count) *)
 }
 
 type sink = t -> unit

@@ -1,12 +1,15 @@
-(** Fenwick (binary indexed) tree over non-negative integer counts, used to
-    sample a vertex with probability proportional to its walker occupancy in
-    the count-compressed asynchronous meet-exchange kernel: [find t r] with
-    [r] uniform on [0, total t) picks index [i] with probability
-    [get t i / total t], in O(log n) with no allocation.
+(** Fenwick (binary indexed) tree over non-negative integer counts: [find t
+    r] with [r] uniform on [0, total t) picks index [i] with probability
+    [get t i / total t], in O(log n).
+
+    No kernel uses this module any more: sparse asynchronous meet-exchange
+    samples the ringing walker from a walker-slot array in O(1) instead.
+    It is kept only because the benchmark's layer probe
+    (perfbench/probe.ml) times it, and goes with the next change to the
+    benchmark.
 
     Counts must stay non-negative; [add] with a delta that would drive a
-    slot negative is not checked (the walker kernels only move existing
-    mass, so their deltas are always balanced). *)
+    slot negative is not checked. *)
 
 type t
 

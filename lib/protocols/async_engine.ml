@@ -230,43 +230,50 @@ end
 module On_heap = Make (Event_queue)
 module On_calendar = Make (Calendar_queue)
 
-(* Count-compressed asynchronous meet-exchange: no event queue at all.  The
+(* Sparse asynchronous meet-exchange: no event queue at all.  The
    superposition of k unit-rate Poisson clocks is one rate-k Poisson
-   process whose rings pick a uniformly random walker — i.e. a vertex with
-   probability proportional to its occupancy (a Fenwick tree over the
-   per-vertex counts, O(log n) per ring) and then a class (uninformed /
-   informed) by the count split, reusing the Fenwick residual as the
-   second draw.  Exact in distribution, but not bit-identical to the dense
-   kernel (agent identity and the per-agent queue order are gone), and no
-   per-agent obs hooks can fire. *)
+   process whose rings pick a uniformly random walker.  Walker identity
+   does not matter, so a walker-slot array [pos] (the multiset of occupied
+   vertices) stands in for the walkers: a uniform slot is a vertex drawn in
+   proportion to its occupancy, in O(1), and a move is one store.
+
+   Every arrival runs an exchange, so after any ring the walkers on a
+   vertex are either all informed or all uninformed: one informed bit per
+   vertex (cleared when the vertex empties) and a per-vertex count are the
+   whole state, and the ringing walker's class is its vertex's bit.  Exact
+   in distribution, but not bit-identical to the dense kernel (agent
+   identity and the per-agent queue order are gone), and no per-agent obs
+   hooks can fire. *)
 (* lint: hot *)
 let meet_exchange_sparse ?trace ~batch ~lazy_walk rng g ~source ~agents
     ~max_time =
   let n = Graph.n g in
   let clock = Exp_stream.create ~batch (Rng.split rng) in
-  let counts = Placement.place_counts rng agents g in
-  let uninf = counts in
-  let inf = Array.make n 0 in
-  (if Graph.min_degree g = 0 then
-     for v = 0 to n - 1 do
-       if uninf.(v) > 0 && Graph.degree g v = 0 then
-         invalid_arg "Async_engine.meet_exchange: agent on isolated vertex"
-     done);
-  let fw = Rumor_prob.Fenwick.of_counts counts in
-  let k = Rumor_prob.Fenwick.total fw in
+  let pos = Placement.place rng agents g in
+  let k = Array.length pos in
+  if Graph.min_degree g = 0 then
+    Array.iter
+      (fun v ->
+        if Graph.degree g v = 0 then
+          invalid_arg "Async_engine.meet_exchange: agent on isolated vertex")
+      pos;
+  let count = Array.make n 0 in
+  Array.iter (fun v -> count.(v) <- count.(v) + 1) pos;
+  let informed = Bitset.create n in
   let informed_count = ref 0 in
+  (* the first walker to stand on the source (placed there or arriving)
+     picks the rumor up, together with everyone sharing the vertex *)
   let source_active = ref true in
-  let exchange_at v =
-    let cu = uninf.(v) and ci = inf.(v) in
-    let source_hit = !source_active && v = source && cu + ci > 0 in
-    if (ci > 0 || source_hit) && cu > 0 then begin
-      inf.(v) <- ci + cu;
-      uninf.(v) <- 0;
-      informed_count := !informed_count + cu
-    end;
-    if source_hit then source_active := false
+  let source_hit v =
+    if !source_active && v = source && count.(v) > 0 then begin
+      source_active := false;
+      if not (Bitset.mem informed v) then begin
+        Bitset.add informed v;
+        informed_count := !informed_count + count.(v)
+      end
+    end
   in
-  exchange_at source;
+  source_hit source;
   let rate = float_of_int k in
   let curve = Curve_buf.create ~hint:(Async_push.curve_hint max_time) in
   Curve_buf.push curve !informed_count;
@@ -284,31 +291,38 @@ let meet_exchange_sparse ?trace ~batch ~lazy_walk rng g ~source ~agents
       now := t;
       incr rings;
       des_sample trace ~rings:!rings ~queue_size:0 ~informed:!informed_count;
-      Async_push.curve_marks curve next_mark ~now:t ~count:!informed_count;
-      (* the ringing walker: vertex ∝ occupancy, class by the count split;
-         the Fenwick residual is already uniform on the vertex's population *)
-      let u, residual = Rumor_prob.Fenwick.find fw (Rng.int rng k) in
-      let walker_uninformed = residual < uninf.(u) in
+      (* tested here so that [t] is boxed for the call only at a mark,
+         not on every ring, where the call is not inlined *)
+      if t > float_of_int !next_mark then
+        Async_push.curve_marks curve next_mark ~now:t ~count:!informed_count;
+      let slot = Rng.int rng k in
+      let u = pos.(slot) in
       let v =
         if lazy_walk && Rng.bool rng then u else Graph.random_neighbor g rng u
       in
+      (* a stay meets a pure population: nothing to exchange *)
       if v <> u then begin
-        (if walker_uninformed then begin
-           uninf.(u) <- uninf.(u) - 1;
-           uninf.(v) <- uninf.(v) + 1
-         end
-         else begin
-           inf.(u) <- inf.(u) - 1;
-           inf.(v) <- inf.(v) + 1
-         end);
-        Rumor_prob.Fenwick.add fw u (-1);
-        Rumor_prob.Fenwick.add fw v 1
-      end;
-      exchange_at v;
-      if !informed_count = k then begin
-        finish_time := t;
-        finished := true;
-        running := false
+        pos.(slot) <- v;
+        let walker_informed = Bitset.mem informed u in
+        let cu = count.(u) - 1 in
+        count.(u) <- cu;
+        if cu = 0 then Bitset.remove informed u;
+        let cv = count.(v) in
+        count.(v) <- cv + 1;
+        if cv = 0 then begin
+          if walker_informed then Bitset.add informed v
+        end
+        else if walker_informed <> Bitset.mem informed v then begin
+          (* a mixed meeting: the uninformed side learns the rumor *)
+          Bitset.add informed v;
+          informed_count := !informed_count + (if walker_informed then cv else 1)
+        end;
+        source_hit v;
+        if !informed_count = k then begin
+          finish_time := t;
+          finished := true;
+          running := false
+        end
       end
     end
   done;

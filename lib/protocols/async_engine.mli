@@ -88,15 +88,20 @@ val meet_exchange :
     and [on_contact] (one per newly informed agent).
 
     [?walkers] ({!Sparse_walkers.Dense} by default) selects the walker
-    representation.  Sparse mode compresses walkers into per-vertex
-    (uninformed, informed) counts and replaces the per-agent event queue
-    with one aggregate rate-k Poisson clock: each ring samples a vertex
-    with probability proportional to its occupancy through a
-    {!Rumor_prob.Fenwick} tree (O(log n), no queue at all), closing the
-    n = 10^6 async gap.  Sparse runs are seed-deterministic but follow a
-    different sample path than dense, fire no per-agent [?obs] hooks, and always
-    report [None] into [?stats]; [?queue]/[?batch] only affect the clock
-    pre-draw.  [Auto] picks sparse at {!Sparse_walkers.auto_threshold}
-    agents.
+    representation.  Sparse mode replaces the per-agent event queue with
+    one aggregate rate-k Poisson clock (no queue at all).  Walkers become
+    a walker-slot array of k vertex ids, so a uniform slot samples the
+    ringing walker's vertex in proportion to its occupancy in O(1), and a
+    move is one store.  Every arrival runs an exchange, so a vertex's
+    walkers are all informed or all uninformed: one informed bit per
+    vertex (cleared when it empties) and a per-vertex count replace
+    per-agent state, k + n words plus n bits in all.  Placement draws
+    exactly what the dense path's does; each ring then draws the slot,
+    the lazy coin (if lazy) and the neighbor.  Sparse runs are
+    seed-deterministic but follow a different sample path than dense (a
+    tier-1 two-sample test gates the mean broadcast time against dense),
+    fire no per-agent [?obs] hooks, and always report [None] into
+    [?stats]; [?queue]/[?batch] only affect the clock pre-draw.  [Auto]
+    picks sparse at {!Sparse_walkers.auto_threshold} agents.
     @raise Invalid_argument on a bad source, non-positive [max_time] or
     [batch < 1]. *)

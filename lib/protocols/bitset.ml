@@ -23,6 +23,13 @@ let add t i =
   Bytes.unsafe_set t byte
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get t byte) lor (1 lsl (i land 7))))
 
+(* lint: hot *)
+let remove t i =
+  let byte = i lsr 3 in
+  Bytes.unsafe_set t byte
+    (Char.unsafe_chr
+       (Char.code (Bytes.unsafe_get t byte) land lnot (1 lsl (i land 7))))
+
 let snapshot ~src ~dst = Bytes.blit src 0 dst 0 (Bytes.length src)
 
 let clear t = Bytes.fill t 0 (Bytes.length t) '\000'

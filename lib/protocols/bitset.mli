@@ -12,6 +12,7 @@ val create : int -> t
 
 val mem : t -> int -> bool
 val add : t -> int -> unit
+val remove : t -> int -> unit
 
 val snapshot : src:t -> dst:t -> unit
 (** Copy [src] into [dst]; both must have been created with the same [n]. *)

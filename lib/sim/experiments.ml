@@ -1757,7 +1757,13 @@ let a10_run profile ~seed =
         fun rng -> (Gen_random.random_regular_connected rng ~n ~d, 0) );
     ]
   in
-  let specs = [ ("visit-exchange", vx); ("meet-exchange", mx) ] in
+  let specs =
+    [
+      ("visit-exchange", vx);
+      ("meet-exchange", mx);
+      ("async-meet-exchange", Protocol.async_meet_exchange ~alpha ());
+    ]
+  in
   (* Both columns run the same kernels; only [walkers] differs.  The same
      cell seed drives the dense and sparse measurement of a pair, so the
      comparison is paired: same graphs, same placements, independent walk
@@ -1811,7 +1817,9 @@ let a10_run profile ~seed =
           Printf.sprintf
             "n = %d, %d base seeds x %d replications per cell; both columns \
              run the engine kernels, dense per-agent positions vs \
-             count-compressed per-vertex occupancy" n seeds_per_cell reps;
+             count-compressed per-vertex occupancy (async: per-agent \
+             clocks vs one aggregate clock over a walker-slot array)"
+            n seeds_per_cell reps;
           Printf.sprintf
             "verdict is ok iff the mean sparse/dense broadcast-time ratio \
              lies in [%.3f, %.3f] (the golden-ratio band); the \
@@ -1823,7 +1831,8 @@ let a10_run profile ~seed =
         ]
       ~title:"A10: dense vs sparse walker distributional gate"
       ~claim:
-        "Count-compressed occupancy kernels (Sparse_walkers) simulate the \
+        "Count-compressed occupancy kernels (Sparse_walkers, and the \
+         slot-array kernel of continuous-time meet-exchange) simulate the \
          same visit-/meet-exchange processes as the per-agent dense \
          kernels: broadcast-time means agree within a constant band on \
          every graph family"

@@ -123,4 +123,13 @@ let run ?traffic ?obs ?trace ?walkers ?shards ?pool spec rng g ~source
             .P.Frog.run_result
       | Flood -> P.Flood.run ?obs g ~source ~max_rounds ())
 
+let shards_used ?(walkers = Dense) ?(shards = 1) spec g =
+  match spec with
+  | Push | Push_pull | Combined _ -> shards
+  | Visit_exchange { agents; _ } | Meet_exchange { agents; _ } ->
+      if P.Sparse_walkers.use_sparse walkers agents g then 1 else shards
+  | Pull | Quasi_push | Cobra _ | Frog _ | Flood | Async_push | Async_push_pull
+  | Async_meet_exchange _ ->
+      1
+
 let run_engine = run

@@ -109,6 +109,12 @@ val run :
     the curve samples the informed count at integer times.  They have no
     round structure, so [obs] fires no [on_round_start] hooks. *)
 
+val shards_used : ?walkers:walkers -> ?shards:int -> spec -> Rumor_graph.Graph.t -> int
+(** The shard count {!run} actually uses for [spec] on this graph under the
+    same [?walkers]/[?shards]: [shards] (default 1) for push, push-pull,
+    combined and dense-walker visit-/meet-exchange, 1 for every kernel
+    that ignores it (sparse walkers and every other spec). *)
+
 val run_engine :
   ?traffic:Rumor_protocols.Traffic.t ->
   ?obs:Rumor_obs.Instrument.t ->

@@ -66,10 +66,11 @@ let measure ?(on_capped = `Keep) ?record ?(jobs = 1) ?trace ~seed ~reps f =
 let broadcast_times ?on_capped ?sink ?(graph_name = "custom") ?jobs ?trace
     ?engine:(_ : bool option) ?walkers ?shards ~seed ~reps ~graph ~spec
     ~max_rounds () =
-  let shard_count = match shards with Some s -> s | None -> 1 in
   (* [graph rng] re-samples per replication inside [f]; each rep writes |V|
-     to its own slot, read back by the rep-ordered record pass. *)
+     and the shard count its kernel used (sparse resolution depends on the
+     graph) to its own slot, read back by the rep-ordered record pass. *)
   let vertices = Array.make (max reps 1) 0 in
+  let shards_used = Array.make (max reps 1) 1 in
   let record =
     Option.map
       (fun sink ~rep ~result ~wall_seconds ~gc ->
@@ -87,13 +88,14 @@ let broadcast_times ?on_capped ?sink ?(graph_name = "custom") ?jobs ?trace
             informed_curve = result.Run_result.informed_curve;
             wall_seconds;
             gc;
-            shards = shard_count;
+            shards = shards_used.(rep);
           })
       sink
   in
   measure ?on_capped ?record ?jobs ?trace ~seed ~reps (fun ~trace ~rep rng ->
       let g, source = Trace.with_span trace "graph.build" (fun () -> graph rng) in
       vertices.(rep) <- Graph.n g;
+      shards_used.(rep) <- Protocol.shards_used ?walkers ?shards spec g;
       (* shards run on the default sequential pool here: the rep level
          already owns the [?jobs] domains, and sharded results are
          jobs-independent by construction anyway *)

@@ -86,7 +86,8 @@ val broadcast_times :
     replications are fully independent.
 
     [sink] receives one {!Rumor_obs.Run_record.t} per replication, labelled
-    with [graph_name] (default ["custom"]) and [Protocol.name spec], always
+    with [graph_name] (default ["custom"]), [Protocol.name spec] and the
+    shard count the kernel used ({!Protocol.shards_used}), always
     in ascending rep order: a JSONL sink written under [jobs > 1] is
     byte-identical to the sequential one up to the per-rep [wall_seconds]
     and [gc] timing fields.

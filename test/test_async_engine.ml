@@ -144,8 +144,10 @@ let test_push_batch_independent () =
 
 (* ------------------------------------------------------- meet-exchange *)
 
-let meet ?(agents = Placement.Linear 1.0) ?(max_time = 1e6) seed g source =
-  Async_engine.meet_exchange (Rng.of_int seed) g ~source ~agents ~max_time
+let meet ?lazy_walk ?walkers ?batch ?(agents = Placement.Linear 1.0)
+    ?(max_time = 1e6) seed g source =
+  Async_engine.meet_exchange ?lazy_walk ?walkers ?batch (Rng.of_int seed) g
+    ~source ~agents ~max_time
 
 let test_meet_completes_on_small_graphs () =
   List.iter
@@ -488,10 +490,13 @@ let test_validation () =
          Async_engine.meet_exchange ~batch:(-3) (Rng.of_int 1) g ~source:0
            ~agents:Placement.One_per_vertex ~max_time:10.0))
 
-(* The sparse meet-exchange path uses one aggregate rate-k clock over a
-   Fenwick occupancy index; it is seed-deterministic but not bit-identical
-   to the dense per-agent-clock path, so we check completion, conservation
-   of the agent count, and determinism. *)
+(* The sparse meet-exchange path uses one aggregate rate-k clock, picks
+   the ringing walker as a uniform slot of a walker-position array, and
+   keeps one informed bit per vertex (every vertex's walkers are all
+   informed or all uninformed).  It is seed-deterministic but not
+   bit-identical to the dense per-agent-clock path, so here we check
+   completion, conservation of the agent count and determinism; the law
+   is gated against dense below. *)
 let test_meet_exchange_sparse () =
   List.iter
     (fun (name, g) ->
@@ -515,6 +520,146 @@ let test_meet_exchange_sparse () =
             (run ()))
         seeds)
     (families ())
+
+(* Distributional gate for the sparse kernel: it samples the same process
+   as the dense one, so mean broadcast times must agree.  A two-sample
+   z-test on independent seeds at two-sided alpha = 0.001 (|z| < 3.29),
+   [gate_reps] runs a side.  The gate also requires those runs to resolve
+   a 5% bias: the minimum detectable relative bias, z_crit * SE / mean
+   (the bias the test flags half of the time), must be at most 0.05 on
+   every graph.  Results do not depend on the clock batch; a small one
+   keeps these short runs from pre-drawing 4096 gaps each. *)
+let gate_z = 3.29
+let gate_reps = 4000
+let gate_max_bias = 0.05
+
+let broadcast_stats ~walkers ~seed0 g =
+  let acc = Rumor_prob.Stats.create () in
+  for i = 0 to gate_reps - 1 do
+    let r =
+      meet ~batch:32 ~walkers ~agents:(Placement.Stationary 14) (seed0 + i) g 0
+    in
+    match r.P.Async_meet_exchange.broadcast_time with
+    | Some t -> Rumor_prob.Stats.add acc t
+    | None -> Alcotest.fail "capped"
+  done;
+  acc
+
+let test_sparse_meet_law_matches_dense () =
+  let module Stats = Rumor_prob.Stats in
+  List.iter
+    (fun (name, g) ->
+      let d = broadcast_stats ~walkers:P.Sparse_walkers.Dense ~seed0:100_000 g in
+      let s = broadcast_stats ~walkers:P.Sparse_walkers.Sparse ~seed0:200_000 g in
+      let se = Float.hypot (Stats.std_error d) (Stats.std_error s) in
+      let z = (Stats.mean s -. Stats.mean d) /. se in
+      let bias = gate_z *. se /. Stats.mean d in
+      Printf.printf
+        "%s: dense %.4f sparse %.4f (%d runs each)  z = %+.2f  detectable \
+         bias %.1f%%\n"
+        name (Stats.mean d) (Stats.mean s) gate_reps z (100.0 *. bias);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: |z| = %.2f < %.2f" name (Float.abs z) gate_z)
+        true
+        (Float.abs z < gate_z);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: detectable bias %.3f <= %.2f" name bias
+           gate_max_bias)
+        true (bias <= gate_max_bias))
+    [
+      ("K8", Gen.complete 8);
+      ("C9", Gen.cycle 9);
+      ("S7", Gen.star ~leaves:7);
+      ("torus4x4", Gen.torus ~rows:4 ~cols:4);
+    ]
+
+(* The sparse ring loop allocates nothing of its own: per ring, no more
+   minor words than a bare loop issuing the same calls (clock gap, slot
+   draw, lazy coin, neighbor draw), plus 0.5 for the amortized set-up
+   (placement is ~0.1 words per ring here): a capped run on a long cycle
+   rings ~5 * 10^5 times. *)
+let test_sparse_ring_loop_allocation () =
+  let g = Gen.cycle 4096 in
+  let k = 64 and seed = 7 and max_time = 8000.0 in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    let x = f () in
+    (Gc.minor_words () -. before, x)
+  in
+  let w_kernel, r =
+    minor_words (fun () ->
+        meet ~lazy_walk:true ~walkers:P.Sparse_walkers.Sparse
+          ~agents:(Placement.Stationary k) ~max_time seed g 0)
+  in
+  let rings = r.P.Async_meet_exchange.rings in
+  Alcotest.(check bool) "capped" true
+    (Option.is_none r.P.Async_meet_exchange.broadcast_time);
+  let w_calls, _ =
+    minor_words (fun () ->
+        let rng = Rng.of_int seed in
+        let clock = Rumor_des.Exp_stream.create (Rng.split rng) in
+        let rate = float_of_int k in
+        let now = ref 0.0 and u = ref 0 and slots = ref 0 in
+        for _ = 1 to rings do
+          now := !now +. (Rumor_des.Exp_stream.next clock /. rate);
+          slots := !slots + Rng.int rng k;
+          if not (Rng.bool rng) then u := Graph.random_neighbor g rng !u
+        done;
+        Sys.opaque_identity (!now, !u, !slots))
+  in
+  let per_ring w = w /. float_of_int rings in
+  Printf.printf "%d rings: kernel %.2f words/ring, same calls %.2f\n" rings
+    (per_ring w_kernel) (per_ring w_calls);
+  Alcotest.(check bool)
+    (Printf.sprintf "kernel %.2f <= calls %.2f + 0.5 words/ring"
+       (per_ring w_kernel) (per_ring w_calls))
+    true
+    (per_ring w_kernel <= per_ring w_calls +. 0.5)
+
+let test_sparse_edge_cases () =
+  let dense = meet ~walkers:P.Sparse_walkers.Dense in
+  let sparse = meet ~walkers:P.Sparse_walkers.Sparse in
+  (* everyone starts on the source: informed at time 0, no ring *)
+  let g8 = Gen.complete 8 in
+  let on_source = Placement.All_at (0, 5) in
+  let r = sparse ~agents:on_source 484 g8 0 in
+  Alcotest.(check (option (float 0.0)))
+    "all on source: instant" (Some 0.0) r.P.Async_meet_exchange.broadcast_time;
+  Alcotest.(check int) "all on source: no ring" 0 r.P.Async_meet_exchange.rings;
+  check_meet_result "all on source: sparse = dense" (dense ~agents:on_source 484 g8 0) r;
+  (* everyone starts off the source: someone must walk there first *)
+  for seed = 0 to 9 do
+    let off = Placement.All_at (3, 6) in
+    List.iter
+      (fun (label, walkers) ->
+        let r = meet ~walkers ~agents:off (4900 + seed) g8 0 in
+        let label = Printf.sprintf "%s off source seed=%d" label seed in
+        (match r.P.Async_meet_exchange.broadcast_time with
+        | Some t -> Alcotest.(check bool) (label ^ ": t > 0") true (t > 0.0)
+        | None -> Alcotest.fail (label ^ ": stalled"));
+        Alcotest.(check bool) (label ^ ": rings") true (r.P.Async_meet_exchange.rings > 0);
+        Alcotest.(check int) (label ^ ": informed") 6 r.P.Async_meet_exchange.informed)
+      [ ("dense", P.Sparse_walkers.Dense); ("sparse", P.Sparse_walkers.Sparse) ]
+  done;
+  (* bipartite graphs, lazy or not: continuous time has no parity trap *)
+  List.iter
+    (fun (name, g, agents) ->
+      List.iter
+        (fun lazy_walk ->
+          for seed = 0 to 9 do
+            let r = sparse ~lazy_walk ~agents (4950 + seed) g 0 in
+            match r.P.Async_meet_exchange.broadcast_time with
+            | Some t ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s lazy=%b seed=%d fast" name lazy_walk seed)
+                  true (t < 100.0)
+            | None -> Alcotest.fail (name ^ ": stalled")
+          done)
+        [ true; false ])
+    [
+      ("K2", Gen.complete 2, Placement.One_per_vertex);
+      ("star16", Gen.star ~leaves:16, Placement.Linear 1.0);
+    ]
 
 let suite =
   [
@@ -547,6 +692,12 @@ let suite =
       test_meet_exchange_batch_independent;
     Alcotest.test_case "sparse meet-exchange completes deterministically" `Quick
       test_meet_exchange_sparse;
+    Alcotest.test_case "sparse meet-exchange law matches dense" `Quick
+      test_sparse_meet_law_matches_dense;
+    Alcotest.test_case "sparse ring loop allocates only in rng calls" `Quick
+      test_sparse_ring_loop_allocation;
+    Alcotest.test_case "sparse meet-exchange edge cases match dense" `Quick
+      test_sparse_edge_cases;
     Alcotest.test_case "push/push-pull: heap and calendar agree" `Quick
       test_push_queues_agree;
     Alcotest.test_case "meet-exchange: heap and calendar agree" `Quick

@@ -119,6 +119,38 @@ let test_cli_bad_spec_exit_code () =
     Alcotest.(check int) "--engine is an unknown option" 124
       (exit_code [ "-g"; "star:5"; "-p"; "push"; "--reps"; "1"; "--engine" ])
 
+(* Records carry the shard count the kernel used, not the one requested:
+   pull and the continuous-time kernels ignore --shards. *)
+let test_cli_metrics_stamp_shards_used () =
+  if not (Sys.file_exists run_exe) then Alcotest.skip ()
+  else begin
+    let path = Filename.temp_file "rumor_shards" ".jsonl" in
+    let code =
+      Sys.command
+        (Filename.quote_command run_exe
+           [
+             "-g"; "torus:4x4"; "-p"; "push"; "-p"; "pull"; "-p"; "async-push";
+             "--reps"; "1"; "--shards"; "2"; "--metrics"; path;
+           ]
+           ~stdout:Filename.null ~stderr:Filename.null)
+    in
+    let lines = In_channel.with_open_text path In_channel.input_lines in
+    Sys.remove path;
+    Alcotest.(check int) "exit code" 0 code;
+    let stamped =
+      List.map
+        (fun line ->
+          match Rumor_obs.Run_record.of_json line with
+          | Ok r -> (r.Rumor_obs.Run_record.protocol, r.Rumor_obs.Run_record.shards)
+          | Error e -> Alcotest.fail e)
+        lines
+    in
+    Alcotest.(check (list (pair string int)))
+      "protocol, shards"
+      [ ("push", 2); ("pull", 1); ("async-push", 1) ]
+      stamped
+  end
+
 let test_random_spec_uses_rng () =
   let spec = Graph_spec.parse_exn "random-regular:30,3" in
   let g1, _ = Graph_spec.build (Rng.of_int 1) spec in
@@ -138,5 +170,7 @@ let suite =
     Alcotest.test_case "boundary specs parse" `Quick test_valid_edge_specs_parse;
     Alcotest.test_case "rumor_run exit codes" `Quick
       test_cli_bad_spec_exit_code;
+    Alcotest.test_case "rumor_run --metrics stamps the shards used" `Quick
+      test_cli_metrics_stamp_shards_used;
     Alcotest.test_case "random specs use the rng" `Quick test_random_spec_uses_rng;
   ]

@@ -135,6 +135,49 @@ let test_alpha_scales_agent_count () =
   in
   Alcotest.(check bool) "denser agents no slower" true (mean 4.0 <= mean 0.25)
 
+(* [shards_used] is 1 exactly where a requested shard count cannot change
+   the run: there [~shards:2] reproduces [~shards:1] result for result. *)
+let test_shards_used () =
+  let g = Gen.torus ~rows:4 ~cols:4 in
+  let specs =
+    [
+      Protocol.push; Protocol.push_pull; Protocol.visit_exchange ();
+      Protocol.meet_exchange (); Protocol.combined (); Protocol.pull;
+      Protocol.quasi_push; Protocol.cobra (); Protocol.frog (); Protocol.flood;
+      Protocol.async_push; Protocol.async_push_pull;
+      Protocol.async_meet_exchange ();
+    ]
+  in
+  (* walker kernels shard only in their dense representation *)
+  let sharded walkers =
+    [ "push"; "push-pull"; "combined" ]
+    @ if walkers = Protocol.Dense then [ "visit-exchange"; "meet-exchange" ] else []
+  in
+  List.iter
+    (fun walkers ->
+      List.iter
+        (fun spec ->
+          let name =
+            Printf.sprintf "%s/%s" (Protocol.name spec)
+              (Protocol.walkers_name walkers)
+          in
+          let used = Protocol.shards_used ~walkers ~shards:2 spec g in
+          let expect =
+            if List.mem (Protocol.name spec) (sharded walkers) then 2 else 1
+          in
+          Alcotest.(check int) name expect used;
+          Alcotest.(check int) (name ^ " default") 1
+            (Protocol.shards_used ~walkers spec g);
+          if used = 1 then begin
+            let run shards =
+              Protocol.run ~walkers ~shards spec (Rng.of_int 77) g ~source:0
+                ~max_rounds:10_000
+            in
+            Alcotest.(check bool) (name ^ " ignores shards") true (run 1 = run 2)
+          end)
+        specs)
+    [ Protocol.Dense; Protocol.Sparse ]
+
 let suite =
   [
     Alcotest.test_case "names" `Quick test_names;
@@ -144,5 +187,6 @@ let suite =
     Alcotest.test_case "all protocols complete" `Quick test_all_protocols_complete;
     Alcotest.test_case "lazy auto on bipartite" `Quick test_lazy_auto_on_bipartite;
     Alcotest.test_case "lazy off stalls on bipartite" `Quick test_lazy_off_on_bipartite_stalls;
+    Alcotest.test_case "shards_used" `Quick test_shards_used;
     Alcotest.test_case "alpha scales agents" `Quick test_alpha_scales_agent_count;
   ]
